@@ -101,10 +101,10 @@ bench-active:
 verify: build lint test race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
-# and sparse local solver (see BENCH_rma.json, BENCH_kernels.json, and
-# BENCH_ldl.json for recorded baselines).
+# sparse local solver, and multilevel partitioner (see BENCH_rma.json,
+# BENCH_kernels.json, and BENCH_ldl.json for recorded baselines).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/rma/ ./internal/dmem/ ./internal/bench/ ./internal/sparse/ ./internal/spdirect/ ./internal/obs/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/rma/ ./internal/dmem/ ./internal/bench/ ./internal/sparse/ ./internal/spdirect/ ./internal/obs/ ./internal/partition/
 
 clean:
 	$(GO) clean ./...
