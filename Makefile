@@ -1,10 +1,10 @@
 # Tier-1 verification for the southwell repo. `make verify` is the gate:
 # build + vet + full test suite + race-mode runtime/method tests + a chaos
-# smoke run of both binaries.
+# smoke run of both binaries + the benchmark module's own tests.
 
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active verify bench clean
+.PHONY: build test vet lint lint-fix lint-cache-check race chaos-smoke perfbench-test bench-kernels bench-ldl bench-obs bench-scale bench-active verify bench clean
 
 build:
 	$(GO) build ./...
@@ -48,8 +48,12 @@ lint-cache-check:
 # tests under the race detector: together they prove the worker pools are
 # race-free and bit-identical to their sequential forms, faults included
 # (DESIGN.md §6, §9).
+# The chaos engine-equivalence suites run again at 1, 2 and 4 procs: payload
+# ownership under fault-injected pauses only shows up when ranks really run
+# concurrently.
 race:
 	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/...
+	$(GO) test -race -cpu 1,2,4 -run 'TestChaosEngineEquivalence|TestNeighborSchedChaosIdentical|TestActiveDenseEquivalence|TestChaosDeterministicAcrossEngines|TestNeighborChaosEquivalent' ./internal/rma/ ./internal/dmem/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the
@@ -57,6 +61,12 @@ race:
 chaos-smoke: build
 	$(GO) run ./cmd/dsouthwell -grid 40 -n 16 -sweep_max 15 -chaos 0.3 >/dev/null
 	$(GO) run ./cmd/benchtables -quick -ranks 32 -steps 40 -par 4 chaos >/dev/null
+
+# The benchmark module's own tests. perfbench/ is a separate Go module, so
+# neither `make test` nor the root `go test ./...` reaches it: its tiny
+# workloads are checked against the sequential dense oracle here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Kernel smoke: the allocs/op regression gate against BENCH_kernels.json
 # plus one iteration of each kernel benchmark, so a steady-state allocation
@@ -98,7 +108,7 @@ bench-active:
 	$(GO) test -run 'TestActiveAllocGate' ./internal/rma/
 	$(GO) test -bench 'BenchmarkActivePhases' -benchtime 1x -run '^$$' ./internal/rma/ >/dev/null
 
-verify: build lint test race chaos-smoke bench-kernels bench-ldl bench-obs bench-scale bench-active
+verify: build lint test race chaos-smoke perfbench-test bench-kernels bench-ldl bench-obs bench-scale bench-active
 
 # Micro-benchmarks for the phase engine, message path, numerical kernels,
 # sparse local solver, and multilevel partitioner (see BENCH_rma.json,

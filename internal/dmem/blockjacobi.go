@@ -30,10 +30,7 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 
 	// Persistent per-(rank, neighbor) payloads: pointers cross the simulated
 	// network, so the steady-state message path allocates nothing.
-	solvePl := make([][]bjPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]bjPayload, rs.rd.Degree())
-	}
+	solvePl := perNeighbor[bjPayload](states)
 
 	// absorb drains rank p's window in any phase: deltas always applied,
 	// fault-injected duplicate landings skipped (a real duplicated
@@ -41,11 +38,12 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 	// nothing to guard against staleness.
 	absorb := func(p int) {
 		rs := states[p]
+		from := senderCursor{rd: rs.rd}
 		for _, m := range w.Inbox(p) {
 			if m.Dup {
 				continue
 			}
-			rs.applyDeltas(rs.rd.NbrIdx[m.From], m.Payload.(*bjPayload).deltas)
+			rs.applyDeltas(from.find(int(m.From)), m.Payload.(*bjPayload).deltas)
 		}
 	}
 

@@ -130,12 +130,11 @@ func newWorld(l *Layout, cfg Config) *rma.World {
 	w := rma.NewWorld(l.P, cfg.model())
 	w.Parallel = cfg.Parallel
 	w.Sched = cfg.Sched
-	if cfg.Sched == rma.SchedNeighbor {
-		// Register the PSCW post/start groups: every method's step-loop
-		// Puts go only to layout neighbors, so the coupling neighborships
-		// are exactly the access groups.
-		w.SetNeighborhoods(l.NeighborLists())
-	}
+	// Register the PSCW post/start groups: every method's step-loop Puts
+	// go only to layout neighbors, so the coupling neighborships are
+	// exactly the access groups. Registration also sizes every rank's
+	// staging buffer and window once from its degree, on either scheduler.
+	w.SetNeighborhoods(l.NeighborLists())
 	w.InstallFaults(cfg.Faults)
 	w.SetTracer(cfg.Trace)
 	return w
@@ -250,11 +249,11 @@ type rankState struct {
 	z          []float64 // per ext row: ghost residual estimate (DS)
 	lastTold   float64   // last norm broadcast to neighbors (PS)
 	sentTo     []bool    // per neighbor: wrote to them in the last send phase
-	// Crossing-correction state (DS): the norm and boundary residuals this
-	// rank sent when it last relaxed, used to mirror the estimate a
-	// crossing neighbor computes from them (keeping Γ̃ exact; DESIGN.md §5).
+	// Crossing-correction state (DS): the norm this rank sent when it last
+	// relaxed, used with the boundary residuals it sent (still in sendBnd)
+	// to mirror the estimate a crossing neighbor computes from them
+	// (keeping Γ̃ exact; DESIGN.md §5).
 	lastSentNorm float64
-	sentBnd      [][]float64 // per neighbor: boundary residuals at send
 	// seqSeen is, per neighbor, the newest payload sequence number whose
 	// estimates were absorbed. Under fault injection a delayed message can
 	// arrive after fresher information; its residual deltas are still
@@ -285,10 +284,12 @@ type rankState struct {
 	// written in one phase is read by the receiver in the next phase and
 	// not reused before the phase after that (solve sends refill only on
 	// the next step's relax phase; explicit residual sends have their own
-	// buffer), so sender reuse never races with receiver reads.
-	sendDeltas [][]float64 // per neighbor: deltasFor output, len(BndExt[j])
-	sendBnd    [][]float64 // per neighbor: boundaryResiduals output, len(MyBnd[j])
-	resBnd     [][]float64 // per neighbor: explicit-update boundary residuals
+	// buffer), so sender reuse never races with receiver reads. Each kind
+	// is one flat slice; neighbor j's part is sendSlice(buf, off, j) with
+	// the layout's bndExtOff (sendDeltas) or myBndOff (sendBnd, resBnd).
+	sendDeltas []float64 // deltasFor output
+	sendBnd    []float64 // boundaryResiduals output
+	resBnd     []float64 // explicit-update boundary residuals
 
 	// direct, when non-nil, is the factorization of the local diagonal
 	// block used by LocalDirect/LocalAuto; dscratch is its solve buffer.
@@ -373,32 +374,42 @@ func newLocalFactor(rd *RankData, mode LocalSolver) (localFactor, error) {
 // newRankStates initializes per-rank state from a global initial guess,
 // with exact residuals, exact neighbor norms (setup exchange, not counted),
 // and exact ghosts.
+//
+// All ranks' state lives in a few flat arrays sized from the layout: one
+// []rankState, and one arena each of float64, bool and int64 from which
+// every per-rank vector and per-neighbor buffer is carved (DESIGN.md §15).
+// A run's state is a handful of allocations however large P is.
 func newRankStates(l *Layout, b, x []float64) []*rankState {
 	rGlob := make([]float64, l.A.N)
 	l.A.Residual(b, x, rGlob)
+	var nf, nd int
+	for _, rd := range l.Ranks {
+		deg := rd.Degree()
+		nf += 2*rd.M() + 2*deg + 2*len(rd.ExtGlob) + rd.bndExtOff[deg] + 2*rd.myBndOff[deg]
+		nd += deg
+	}
+	flo := arena[float64](make([]float64, nf))
+	bools := arena[bool](make([]bool, nd))
+	ints := arena[int64](make([]int64, nd))
 	states := make([]*rankState, l.P)
+	flat := make([]rankState, l.P)
 	for p := 0; p < l.P; p++ {
 		rd := l.Ranks[p]
-		m := rd.M()
-		rs := &rankState{
+		m, deg, ext := rd.M(), rd.Degree(), len(rd.ExtGlob)
+		rs := &flat[p]
+		*rs = rankState{
 			rd:         rd,
-			x:          make([]float64, m),
-			r:          make([]float64, m),
-			gamma:      make([]float64, rd.Degree()),
-			gammaTilde: make([]float64, rd.Degree()),
-			z:          make([]float64, len(rd.ExtGlob)),
-			sentTo:     make([]bool, rd.Degree()),
-			seqSeen:    make([]int64, rd.Degree()),
-			sentBnd:    make([][]float64, rd.Degree()),
-			extDelta:   make([]float64, len(rd.ExtGlob)),
-			sendDeltas: make([][]float64, rd.Degree()),
-			sendBnd:    make([][]float64, rd.Degree()),
-			resBnd:     make([][]float64, rd.Degree()),
-		}
-		for j := range rd.Nbrs {
-			rs.sendDeltas[j] = make([]float64, len(rd.BndExt[j]))
-			rs.sendBnd[j] = make([]float64, len(rd.MyBnd[j]))
-			rs.resBnd[j] = make([]float64, len(rd.MyBnd[j]))
+			x:          flo.take(m),
+			r:          flo.take(m),
+			gamma:      flo.take(deg),
+			gammaTilde: flo.take(deg),
+			z:          flo.take(ext),
+			sentTo:     bools.take(deg),
+			seqSeen:    ints.take(deg),
+			extDelta:   flo.take(ext),
+			sendDeltas: flo.take(rd.bndExtOff[deg]),
+			sendBnd:    flo.take(rd.myBndOff[deg]),
+			resBnd:     flo.take(rd.myBndOff[deg]),
 		}
 		for li, g := range rd.Glob {
 			rs.x[li] = x[g]
@@ -420,6 +431,32 @@ func newRankStates(l *Layout, b, x []float64) []*rankState {
 		rs.lastTold = rs.norm
 	}
 	return states
+}
+
+// arena hands out consecutive pieces of one preallocated array. Each piece
+// is a 3-index slice with len = cap = n, so an append on it reallocates
+// instead of running into the next piece.
+type arena[T any] []T
+
+func (a *arena[T]) take(n int) []T {
+	s := (*a)[:n:n]
+	*a = (*a)[n:]
+	return s
+}
+
+// perNeighbor carves one []T of length Degree() per rank from a single
+// flat array, for the methods' persistent per-(rank, neighbor) payloads.
+func perNeighbor[T any](states []*rankState) [][]T {
+	n := 0
+	for _, rs := range states {
+		n += rs.rd.Degree()
+	}
+	a := arena[T](make([]T, n))
+	out := make([][]T, len(states))
+	for p, rs := range states {
+		out[p] = a.take(rs.rd.Degree())
+	}
+	return out
 }
 
 // computeNorm returns ‖r‖₂ of the local residual. The naive
@@ -494,7 +531,7 @@ func (rs *rankState) zeroExtDelta() {
 // slice crosses the simulated network by reference and is only rewritten
 // on this rank's next relax phase, after the receiver has read it).
 func (rs *rankState) boundaryResiduals(j int) []float64 {
-	out := rs.sendBnd[j]
+	out := sendSlice(rs.sendBnd, rs.rd.myBndOff, j)
 	for k, li := range rs.rd.MyBnd[j] {
 		out[k] = rs.r[li]
 	}
@@ -505,7 +542,7 @@ func (rs *rankState) boundaryResiduals(j int) []float64 {
 // by explicit residual updates, which are sent one phase after the solve
 // message: the solve buffer may still be in flight to the same neighbor.
 func (rs *rankState) resBoundaryResiduals(j int) []float64 {
-	out := rs.resBnd[j]
+	out := sendSlice(rs.resBnd, rs.rd.myBndOff, j)
 	for k, li := range rs.rd.MyBnd[j] {
 		out[k] = rs.r[li]
 	}
@@ -515,11 +552,16 @@ func (rs *rankState) resBoundaryResiduals(j int) []float64 {
 // deltasFor collects extDelta values for neighbor j's boundary slots into
 // the persistent per-neighbor send buffer.
 func (rs *rankState) deltasFor(j int) []float64 {
-	out := rs.sendDeltas[j]
+	out := sendSlice(rs.sendDeltas, rs.rd.bndExtOff, j)
 	for k, e := range rs.rd.BndExt[j] {
 		out[k] = rs.extDelta[e]
 	}
 	return out
+}
+
+// sendSlice returns neighbor j's part of a flat per-neighbor send buffer.
+func sendSlice(buf []float64, off []int, j int) []float64 {
+	return buf[off[j]:off[j+1]:off[j+1]]
 }
 
 // applyDeltas adds incoming residual deltas from neighbor j to the local
@@ -569,13 +611,20 @@ func configureLocal(states []*rankState, cfg Config) {
 	if cfg.Local != LocalDirect && cfg.Local != LocalAuto {
 		return
 	}
+	n := 0
+	for _, rs := range states {
+		n += rs.rd.M()
+	}
+	scratch := arena[float64](make([]float64, n))
+	for _, rs := range states {
+		rs.dscratch = scratch.take(rs.rd.M())
+	}
 	if s := cfg.Setup; s != nil && s.factors != nil {
 		// Shared setup: the expensive factorizations already exist — each
 		// run just binds them to its own private scratch. The shared
 		// factors are read-only from here on.
 		for pr, rs := range states {
 			rs.direct = bind(s.factors[pr])
-			rs.dscratch = make([]float64, rs.rd.M())
 		}
 		return
 	}
@@ -593,7 +642,6 @@ func configureLocal(states []*rankState, cfg Config) {
 				continue
 			}
 			rs.direct = lf
-			rs.dscratch = make([]float64, rs.rd.M())
 		}
 	}
 	parallel.Default().Run(&factor, nb)

@@ -79,12 +79,8 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 	// Persistent payloads (pointers cross the network; see blockjacobi.go).
 	// Explicit updates get their own per-neighbor structs: they are sent one
 	// phase after the solve messages, whose buffers are still in flight.
-	solvePl := make([][]dsSolvePayload, l.P)
-	resPl := make([][]dsResPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]dsSolvePayload, rs.rd.Degree())
-		resPl[p] = make([]dsResPayload, rs.rd.Degree())
-	}
+	solvePl := perNeighbor[dsSolvePayload](states)
+	resPl := perNeighbor[dsResPayload](states)
 
 	// absorb drains rank p's window — callable from any phase. Residual
 	// deltas are always applied: they are additive and exact regardless of
@@ -98,12 +94,13 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 	absorb := func(p int) {
 		rs := states[p]
 		changed := false
+		from := senderCursor{rd: rs.rd}
 		for _, m := range w.Inbox(p) {
 			if m.Dup {
 				continue
 			}
 			rs.gotMsg = true
-			j := rs.rd.NbrIdx[m.From]
+			j := from.find(int(m.From))
 			switch pl := m.Payload.(type) {
 			case *dsSolvePayload:
 				rs.applyDeltas(j, pl.deltas)
@@ -113,7 +110,7 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 				}
 				rs.seqSeen[j] = pl.seq
 				// Crossing correction only when this rank itself relaxed
-				// this step and wrote to j (so lastSentNorm/sentBnd/extDelta
+				// this step and wrote to j (so lastSentNorm/sendBnd/extDelta
 				// describe this step's send). Fault-free this is exactly the
 				// phase-2 sentTo condition; under faults sentTo[j] can also
 				// mean an explicit update was sent, which has no crossing.
@@ -142,8 +139,9 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 					} else {
 						rs.gamma[j] = sqrtNonNeg(pl.norm*pl.norm + adj)
 						adjMine := 0.0
+						sent := sendSlice(rs.sendBnd, rs.rd.myBndOff, j)
 						for k := range rs.rd.MyBnd[j] {
-							b0 := rs.sentBnd[j][k]
+							b0 := sent[k]
 							nb := b0 + pl.deltas[k]
 							adjMine += nb*nb - b0*b0
 						}
@@ -235,7 +233,6 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 			pl.norm = rs.norm
 			pl.estRecv = rs.gamma[j]
 			pl.seq = 2 * int64(step)
-			rs.sentBnd[j] = pl.bnd
 			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 		}
 	}

@@ -34,8 +34,8 @@ func TestLayoutExchangePlansMatch(t *testing.T) {
 		rd := l.Ranks[p]
 		for j, q := range rd.Nbrs {
 			qd := l.Ranks[q]
-			jq, ok := qd.NbrIdx[p]
-			if !ok {
+			jq := qd.NbrPos(p)
+			if jq < 0 {
 				t.Fatalf("neighbor relation not symmetric: %d -> %d", p, q)
 			}
 			// The rows I hold deltas for (q-owned) must be exactly q's

@@ -22,8 +22,8 @@ func TestDistSWBlockGammaTildeExactness(t *testing.T) {
 		for p, rs := range states {
 			for j, q := range rs.rd.Nbrs {
 				qs := states[q]
-				jp, ok := qs.rd.NbrIdx[p]
-				if !ok {
+				jp := qs.rd.NbrPos(p)
+				if jp < 0 {
 					t.Fatalf("neighbor asymmetry %d-%d", p, q)
 				}
 				if rs.gammaTilde[j] != qs.gamma[jp] {

@@ -68,9 +68,9 @@ type RankData struct {
 	ExtGlob  []int // global ids, ascending
 	ExtOwner []int // owner rank per ext row
 
-	// Neighbors, ascending rank order.
-	Nbrs   []int
-	NbrIdx map[int]int
+	// Neighbors, ascending rank order (NbrPos maps a rank to its
+	// position).
+	Nbrs []int
 
 	// Exchange plans, all indexed by neighbor position in Nbrs:
 	// BndExt[j]: ext-row indices owned by neighbor j (the ghost layer z
@@ -84,6 +84,12 @@ type RankData struct {
 	// neighbor j's ExtGlob.
 	MyBnd         [][]int
 	MyBndExtInNbr [][]int
+
+	// bndExtOff and myBndOff are the prefix sums of len(BndExt[j]) and
+	// len(MyBnd[j]): a run keeps each kind of per-neighbor send buffer in
+	// one flat slice per rank, neighbor j's part at [off[j], off[j+1]).
+	bndExtOff []int
+	myBndOff  []int
 }
 
 // NewLayout distributes a (structurally symmetric) matrix over P ranks
@@ -239,7 +245,6 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 		LocPtr: make([]int, len(rows)+1),
 		ExtPtr: make([]int, len(rows)+1),
 		Diag:   make([]float64, len(rows)),
-		NbrIdx: make(map[int]int),
 	}
 	// Collect external rows first for stable ext indexing.
 	for _, g := range rows {
@@ -267,15 +272,12 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 			rd.Nbrs = append(rd.Nbrs, q)
 		}
 	}
-	for j, q := range rd.Nbrs {
-		rd.NbrIdx[q] = j
-	}
 	rd.BndExt = make([][]int, len(rd.Nbrs))
 	rd.BndExtLocalInNbr = make([][]int, len(rd.Nbrs))
 	rd.MyBnd = make([][]int, len(rd.Nbrs))
 	rd.MyBndExtInNbr = make([][]int, len(rd.Nbrs))
 	for e := range rd.ExtGlob {
-		j := rd.NbrIdx[rd.ExtOwner[e]]
+		j := rd.NbrPos(rd.ExtOwner[e])
 		rd.BndExt[j] = append(rd.BndExt[j], e)
 	}
 
@@ -301,7 +303,7 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 			} else {
 				rd.ExtCol = append(rd.ExtCol, uint32(pos[c]))
 				rd.ExtVal = append(rd.ExtVal, v)
-				j := rd.NbrIdx[l.Part[c]]
+				j := rd.NbrPos(l.Part[c])
 				if mb := rd.MyBnd[j]; len(mb) == 0 || mb[len(mb)-1] != li {
 					rd.MyBnd[j] = append(rd.MyBnd[j], li)
 				}
@@ -311,6 +313,12 @@ func buildRank(a *sparse.CSR, l *Layout, p int, pos []int32) *RankData {
 		rd.ExtPtr[li+1] = len(rd.ExtVal)
 	}
 	rd.NNZ = len(rd.LocVal) + len(rd.ExtVal)
+	off := make([]int, 2*(len(rd.Nbrs)+1))
+	rd.bndExtOff, rd.myBndOff = off[:len(rd.Nbrs)+1], off[len(rd.Nbrs)+1:]
+	for j := range rd.Nbrs {
+		rd.bndExtOff[j+1] = rd.bndExtOff[j] + len(rd.BndExt[j])
+		rd.myBndOff[j+1] = rd.myBndOff[j] + len(rd.MyBnd[j])
+	}
 	// Leave the scratch all -1 for the next rank.
 	for _, g := range rd.ExtGlob {
 		pos[g] = -1
@@ -335,4 +343,50 @@ func (l *Layout) NeighborLists() [][]int {
 		lists[p] = l.Ranks[p].Nbrs
 	}
 	return lists
+}
+
+// NbrPos returns the position of rank q in Nbrs, or -1 if q is not a
+// neighbor: a binary search of the ascending list.
+//
+//dslint:hotpath
+func (rd *RankData) NbrPos(q int) int {
+	lo, hi := 0, len(rd.Nbrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rd.Nbrs[mid] < q {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(rd.Nbrs) && rd.Nbrs[lo] == q {
+		return lo
+	}
+	return -1
+}
+
+// senderCursor resolves the senders of one window drain to positions in
+// the receiver's ascending Nbrs without hashing. Windows arrive in
+// ascending origin order on a perfect network, and where every neighbor
+// writes (Block Jacobi, or a rank whose neighbors all relaxed) each sender
+// sits in the slot after the previous one. The cursor checks that slot
+// first and otherwise falls back to NbrPos, which also covers the
+// reordered, duplicated and delayed batches of a fault plan.
+type senderCursor struct {
+	rd   *RankData
+	next int // position after the last sender found
+}
+
+// find returns q's position in the neighbor list; q must be a neighbor.
+//
+//dslint:hotpath
+func (c *senderCursor) find(q int) int {
+	j := c.next
+	if nbrs := c.rd.Nbrs; j >= len(nbrs) || nbrs[j] != q {
+		if j = c.rd.NbrPos(q); j < 0 {
+			panic(fmt.Sprintf("dmem: rank %d received a message from non-neighbor %d", c.rd.P, q))
+		}
+	}
+	c.next = j + 1
+	return j
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // TestLayoutDeterministic is the regression test behind the maporder
-// analyzer's contract for this package: NewLayout ranges over several maps
-// (extSet, nbrSet, NbrIdx) while building per-rank boundary/ghost indexing,
-// and every one of those iterations must be collect-then-sort or read-only
-// so that repeated constructions from identical inputs yield bit-identical
-// layouts. Ten constructions must produce deeply equal RankData, including
-// every exchange-plan slice whose order feeds message traffic.
+// analyzer's contract for this package: NewLayout must build per-rank
+// boundary/ghost indexing without any order-dependent step (it uses pooled
+// position scratch and sorted lists, no maps), so that repeated
+// constructions from identical inputs yield bit-identical layouts. Ten
+// constructions must produce deeply equal RankData, including every
+// exchange-plan slice whose order feeds message traffic.
 func TestLayoutDeterministic(t *testing.T) {
 	a := problem.Poisson2D(24, 24)
 	part := partition.Partition(a, 7, partition.Options{Seed: 42})
@@ -56,8 +56,8 @@ func TestLayoutDeterministic(t *testing.T) {
 			}
 		}
 		for j, q := range rd.Nbrs {
-			if rd.NbrIdx[q] != j {
-				t.Errorf("rank %d: NbrIdx[%d] = %d, want %d", p, q, rd.NbrIdx[q], j)
+			if rd.NbrPos(q) != j {
+				t.Errorf("rank %d: NbrPos(%d) = %d, want %d", p, q, rd.NbrPos(q), j)
 			}
 		}
 	}

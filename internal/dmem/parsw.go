@@ -53,11 +53,8 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 	// Persistent payloads (pointers cross the network; see blockjacobi.go).
 	// The explicit update carries one norm for all neighbors, so a single
 	// struct per rank suffices.
-	solvePl := make([][]psSolvePayload, l.P)
+	solvePl := perNeighbor[psSolvePayload](states)
 	resPl := make([]psResPayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
-	}
 
 	// absorb drains rank p's window in any phase: deltas are always applied
 	// (additive, exact regardless of arrival order), the piggybacked norm is
@@ -68,11 +65,12 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 	absorb := func(p int) {
 		rs := states[p]
 		changed := false
+		from := senderCursor{rd: rs.rd}
 		for _, m := range w.Inbox(p) {
 			if m.Dup {
 				continue
 			}
-			j := rs.rd.NbrIdx[m.From]
+			j := from.find(int(m.From))
 			switch pl := m.Payload.(type) {
 			case *psSolvePayload:
 				rs.applyDeltas(j, pl.deltas)

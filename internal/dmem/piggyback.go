@@ -18,10 +18,7 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 	record(res, w, states, globalNorm(states), 0, 0, 0)
 
 	// Persistent payloads (pointers cross the network; see blockjacobi.go).
-	solvePl := make([][]psSolvePayload, l.P)
-	for p, rs := range states {
-		solvePl[p] = make([]psSolvePayload, rs.rd.Degree())
-	}
+	solvePl := perNeighbor[psSolvePayload](states)
 
 	// absorb drains rank p's window in any phase: deltas always applied,
 	// piggybacked norms guarded by the payload sequence number, duplicate
@@ -30,12 +27,13 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 	absorb := func(p int) {
 		rs := states[p]
 		changed := false
+		from := senderCursor{rd: rs.rd}
 		for _, m := range w.Inbox(p) {
 			if m.Dup {
 				continue
 			}
 			pl := m.Payload.(*psSolvePayload)
-			j := rs.rd.NbrIdx[m.From]
+			j := from.find(int(m.From))
 			rs.applyDeltas(j, pl.deltas)
 			changed = true
 			if pl.seq >= rs.seqSeen[j] {

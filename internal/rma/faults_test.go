@@ -161,6 +161,47 @@ func TestPausedWindowRetainsAcrossPause(t *testing.T) {
 	})
 }
 
+// A paused rank's window outlives the phase its messages were written
+// for, while their senders rewrite the payload buffers on schedule: the
+// retained payloads must be clones, on the barrier engine and on the
+// neighborhood scheduler alike.
+func TestPausedWindowPayloadIsCloned(t *testing.T) {
+	for _, sched := range []Sched{SchedBarrier, SchedNeighbor} {
+		w := NewWorld(2, CostModel{})
+		w.Parallel = sched == SchedNeighbor
+		w.Sched = sched
+		w.SetNeighborhoods(ringNeighborhoods(2))
+		w.InstallFaults(&FaultPlan{Seed: 1, Pauses: []Pause{{Rank: 1, From: 1, To: 3}}})
+		first := &clonable{vals: []float64{42}}
+		second := &clonable{vals: []float64{7}}
+		w.RunPhases(func(rank int) {
+			if rank == 0 {
+				w.Put(0, 1, TagSolve, 8, first)
+			}
+		})
+		w.RunPhases(func(rank int) { // rank 1 paused
+			if rank == 0 {
+				w.Put(0, 1, TagSolve, 8, second)
+			}
+		})
+		first.vals[0] = -1             // reused one phase after its delivery
+		w.RunPhases(func(rank int) {}) // rank 1 paused
+		second.vals[0] = -1
+		var got []float64
+		w.RunPhases(func(rank int) {
+			if rank == 1 {
+				for _, m := range w.Inbox(1) {
+					got = append(got, m.Payload.(*clonable).vals[0])
+				}
+			}
+		})
+		w.Close()
+		if len(got) != 2 || got[0] != 42 || got[1] != 7 {
+			t.Errorf("sched %d: resumed rank read %v, want [42 7]", sched, got)
+		}
+	}
+}
+
 func TestStragglerMultipliesCost(t *testing.T) {
 	base := NewWorld(2, CostModel{Gamma: 1})
 	base.RunPhase(func(rank int) { base.Charge(rank, 10) })
@@ -198,7 +239,7 @@ func chaosRun(seed int64, parallel bool) ([][]int, Stats) {
 	for phase := 0; phase < 12; phase++ {
 		w.RunPhase(func(rank int) {
 			for _, m := range w.Inbox(rank) {
-				v := m.From*10000 + m.Payload.(int)
+				v := int(m.From)*10000 + m.Payload.(int)
 				if m.Dup {
 					v = -v
 				}

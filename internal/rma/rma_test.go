@@ -3,6 +3,7 @@ package rma
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPutDeliveredNextPhase(t *testing.T) {
@@ -138,7 +139,7 @@ func TestQuickEnginesEquivalent(t *testing.T) {
 			for phase := 0; phase < 5; phase++ {
 				w.RunPhase(func(rank int) {
 					for _, m := range w.Inbox(rank) {
-						got[rank] = append(got[rank], m.From*1000+m.Payload.(int))
+						got[rank] = append(got[rank], int(m.From)*1000+m.Payload.(int))
 					}
 					// Deterministic pseudo-random pattern per (seed, phase, rank).
 					h := seed + int64(phase*131) + int64(rank*17)
@@ -173,5 +174,13 @@ func TestQuickEnginesEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every Put copies a Message into a staging buffer and every landing copies
+// it again into a window; keep it at 32 bytes.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 32", got)
 	}
 }

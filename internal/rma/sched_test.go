@@ -282,34 +282,41 @@ func TestWaitTally(t *testing.T) {
 }
 
 // scaleWorld builds a P-rank neighborhood-scheduled world running the same
-// two-neighbor ring exchange as the engine benchmarks.
+// two-neighbor ring exchange as the engine benchmarks. The two phases of a
+// group write separate payloads: a payload written in one phase is read by
+// the neighbors in the next, so the sender may rewrite it only in the
+// phase after that (the reuse contract of the solvers' payloads).
 func scaleWorld(p int) (*World, []func(int)) {
 	w := NewWorld(p, DefaultCostModel())
 	w.Parallel = true
 	w.Sched = SchedNeighbor
 	w.SetNeighborhoods(ringNeighborhoods(p))
-	payloads := make([][2]benchPayload, p)
+	payloads := make([][2][2]benchPayload, p)
 	for r := range payloads {
-		payloads[r][0].vals = make([]float64, 8)
-		payloads[r][1].vals = make([]float64, 8)
-	}
-	phase := func(rank int) {
-		sum := 0.0
-		for _, m := range w.Inbox(rank) {
-			sum += m.Payload.(*benchPayload).norm
+		for k := range payloads[r] {
+			payloads[r][k][0].vals = make([]float64, 8)
+			payloads[r][k][1].vals = make([]float64, 8)
 		}
-		for d := 0; d < 2; d++ {
-			pl := &payloads[rank][d]
-			pl.norm = sum + float64(rank+d)
-			to := rank + 1
-			if d == 1 {
-				to = rank - 1 + p
+	}
+	phase := func(k int) func(int) {
+		return func(rank int) {
+			sum := 0.0
+			for _, m := range w.Inbox(rank) {
+				sum += m.Payload.(*benchPayload).norm
 			}
-			w.Put(rank, to%p, TagSolve, 8*len(pl.vals)+16, pl)
+			for d := 0; d < 2; d++ {
+				pl := &payloads[rank][k][d]
+				pl.norm = sum + float64(rank+d)
+				to := rank + 1
+				if d == 1 {
+					to = rank - 1 + p
+				}
+				w.Put(rank, to%p, TagSolve, 8*len(pl.vals)+16, pl)
+			}
+			w.Charge(rank, 100)
 		}
-		w.Charge(rank, 100)
 	}
-	return w, []func(int){phase, phase}
+	return w, []func(int){phase(0), phase(1)}
 }
 
 type scaleGate struct {
