@@ -21,9 +21,6 @@
 //	-loc_solver S  local subdomain solver for every run: gs (default),
 //	               direct (sparse LDLT), or auto (per-rank crossover)
 //	-goroutines    run each simulated world on the rma worker-pool engine
-//	-sched S       pool-engine epoch discipline: barrier (default) or
-//	               neighbor (per-neighborhood PSCW epochs; implies
-//	               -goroutines). Results are bit-identical either way
 //	-v             log driver progress (cache skips, shared setups) to stderr
 //	-chaos P       inject delay faults: each message delayed 1-3 phases with
 //	               probability P (deterministic per -chaos-seed)
@@ -74,18 +71,6 @@ var experiments = []struct {
 
 // allExcluded experiments must be requested by name.
 var allExcluded = map[string]bool{"scaling": true}
-
-// parseSched resolves the -sched flag (shared vocabulary with
-// cmd/dsouthwell).
-func parseSched(s string) (rma.Sched, error) {
-	switch s {
-	case "barrier":
-		return rma.SchedBarrier, nil
-	case "neighbor", "nbr":
-		return rma.SchedNeighbor, nil
-	}
-	return 0, fmt.Errorf("-sched %q: unknown (use barrier or neighbor)", s)
-}
 
 // parseLocSolver resolves the -loc_solver flag (shared vocabulary with
 // cmd/dsouthwell).
@@ -151,7 +136,6 @@ func main() {
 	kernelWorkers := flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
 	goroutines := flag.Bool("goroutines", false, "run simulated worlds on the rma worker-pool engine")
 	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
-	sched := flag.String("sched", "barrier", "pool-engine epoch discipline: barrier (global) or neighbor (per-neighborhood PSCW groups; implies -goroutines). Results are identical either way")
 	verbose := flag.Bool("v", false, "log driver progress (cache-skipped cells, shared setups) to stderr")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
@@ -166,11 +150,6 @@ func main() {
 		os.Exit(2)
 	}
 	local, err := parseLocSolver(*locSolver)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-		os.Exit(2)
-	}
-	schedVal, err := parseSched(*sched)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
@@ -192,8 +171,8 @@ func main() {
 	}
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
-		Par: *par, Goroutines: *goroutines || schedVal == rma.SchedNeighbor,
-		Sched: schedVal, Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
+		Par: *par, Goroutines: *goroutines,
+		Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *verbose {
 		cfg.LogW = os.Stderr

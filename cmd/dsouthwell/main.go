@@ -36,18 +36,6 @@ type options struct {
 	faults *rma.FaultPlan
 }
 
-// parseSched resolves the -sched flag (shared vocabulary with
-// cmd/benchtables).
-func parseSched(s string) (rma.Sched, error) {
-	switch s {
-	case "barrier":
-		return rma.SchedBarrier, nil
-	case "neighbor", "nbr":
-		return rma.SchedNeighbor, nil
-	}
-	return 0, fmt.Errorf("-sched %q: unknown (use barrier or neighbor)", s)
-}
-
 // validateOutFile checks an output-file flag up front: the path must not
 // be an existing directory and its parent directory must exist, so a typo
 // fails before the run instead of after minutes of simulation.
@@ -137,7 +125,6 @@ func main() {
 		parallel = flag.Bool("goroutines", false, "alias for -par (kept for artifact compatibility)")
 		par      = flag.Bool("par", false, "run simulated ranks on the persistent worker-pool engine")
 		active   = flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
-		sched    = flag.String("sched", "barrier", "pool-engine epoch discipline: barrier (global) or neighbor (per-neighborhood PSCW groups; implies -par). Results are identical either way")
 		kernWkrs = flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
 		grid     = flag.Int("grid", 100, "grid dimension for the default Laplace problem")
 		chaos    = flag.Float64("chaos", 0, "inject delay faults: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
@@ -150,11 +137,6 @@ func main() {
 	flag.Parse()
 
 	opts, err := validate(*ranks, *sweepMax, *grid, *solver, *locSolve, *target, *chaos, *chaosSd, *kernWkrs, *traceOut, *metrics)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
-		os.Exit(2)
-	}
-	schedVal, err := parseSched(*sched)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsouthwell: %v\n", err)
 		os.Exit(2)
@@ -223,8 +205,8 @@ func main() {
 	opt := core.DistOptions{
 		Method: opts.method, Ranks: *ranks, Steps: *sweepMax, Target: *target,
 		PartSeed: *seed,
-		Parallel: *parallel || *par || schedVal == rma.SchedNeighbor,
-		Sched:    schedVal, Local: opts.local, Dense: !*active,
+		Parallel: *parallel || *par,
+		Local:    opts.local, Dense: !*active,
 		Faults: opts.faults,
 	}
 	var rec *obs.Recorder

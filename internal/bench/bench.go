@@ -54,11 +54,6 @@ type Config struct {
 	// Goroutines runs each simulated world on the rma worker-pool engine
 	// (bit-identical results; see the dmem engine-equivalence tests).
 	Goroutines bool
-	// Sched selects the pool engine's epoch discipline when Goroutines is
-	// set (rma.SchedNeighbor pipelines phases per neighborhood). Like Par
-	// and Goroutines it never changes results, so it is excluded from the
-	// run-cache key.
-	Sched rma.Sched
 	// Dense disables the active-set step engine (see core.DistOptions).
 	// Bit-identical either way, so it too stays out of the run-cache key.
 	Dense bool
@@ -328,7 +323,7 @@ func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int)
 	b, x := problem.ZeroBSystem(a, cfg.seed())
 	opt := core.DistOptions{
 		Method: method, Ranks: ranks, Steps: steps, Setup: setup,
-		Parallel: cfg.Goroutines, Sched: cfg.Sched, Dense: cfg.Dense,
+		Parallel: cfg.Goroutines, Dense: cfg.Dense,
 		Local: cfg.Local, Model: cfg.Model, Faults: cfg.Faults,
 	}
 	// Trace hook: any table/figure run can dump its per-rank timeline.

@@ -135,11 +135,6 @@ type DistOptions struct {
 	// Parallel runs simulated ranks on the persistent worker-pool engine
 	// (bit-identical results to the sequential engine).
 	Parallel bool
-	// Sched selects the pool engine's epoch discipline: rma.SchedBarrier
-	// (default, global barrier per phase) or rma.SchedNeighbor
-	// (per-neighborhood epoch completion, MPI PSCW-style; needs Parallel).
-	// Results are bit-identical either way.
-	Sched rma.Sched
 	// Part, when non-nil, is a caller-provided partition (length n, values
 	// in [0, Ranks)); otherwise the multilevel partitioner is used.
 	Part []int
@@ -203,7 +198,7 @@ func SolveDistributed(a *sparse.CSR, b, x []float64, opt DistOptions) (*dmem.Res
 	}
 	cfg := dmem.Config{
 		Steps: opt.Steps, Target: opt.Target, Model: opt.Model,
-		Parallel: opt.Parallel, Sched: opt.Sched, Setup: opt.Setup,
+		Parallel: opt.Parallel, Setup: opt.Setup,
 		Local: opt.Local, Dense: opt.Dense,
 		Faults: opt.Faults, Watchdog: opt.Watchdog, Trace: opt.Trace,
 	}

@@ -13,7 +13,7 @@ import (
 // compareRuns asserts two results agree bit-for-bit in everything that is
 // part of results: the per-step history (norms, messages by tag, simulated
 // time, fault counters), cumulative runtime stats, the watchdog verdict,
-// and the gathered solution. Diagnostics (ActiveHist, SchedWaits) are
+// and the gathered solution. Diagnostics (ActiveHist) are
 // engine observations and deliberately excluded.
 func compareRuns(t *testing.T, label string, a, b *Result) {
 	t.Helper()

@@ -53,7 +53,7 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 	// unpaused rank relaxes unconditionally every step, so the active-set
 	// engine could never put one to sleep correctly (a paused rank holds
 	// with no mail, yet dense BJ relaxes it again the moment it unpauses).
-	// The dense RunPhases path IS the active set here, so Config.Dense has
+	// The dense RunPhase path IS the active set here, so Config.Dense has
 	// no effect on this method.
 	for step := 1; step <= cfg.steps(); step++ {
 		relaxedRanks := 0
@@ -62,33 +62,28 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 		for _, rs := range states {
 			rs.relaxed = false
 		}
-		// The step's two access epochs form one scheduler group: under
-		// rma.SchedNeighbor a rank moves from its sweep phase to its read
-		// phase as soon as its own neighborhood is done, without waiting on
-		// the rest of the machine.
-		w.RunPhases(
-			// Relax and write (absorbing any late deliveries first).
-			func(p int) {
-				absorb(p)
-				rs := states[p]
-				traceDecision(w, step, p, rs, true)
-				rs.relaxed = true
-				rs.zeroExtDelta()
-				flops := rs.relaxLocal()
-				w.Charge(p, flops)
-				for j, q := range rs.rd.Nbrs {
-					pl := &solvePl[p][j]
-					pl.deltas = rs.deltasFor(j)
-					w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
-				}
-			},
-			// Wait for neighbors to finish writing, then read.
-			func(p int) {
-				rs := states[p]
-				absorb(p)
-				rs.norm = rs.computeNorm()
-				w.Charge(p, 2*float64(rs.rd.M()))
-			})
+		// Relax and write (absorbing any late deliveries first).
+		w.RunPhase(func(p int) {
+			absorb(p)
+			rs := states[p]
+			traceDecision(w, step, p, rs, true)
+			rs.relaxed = true
+			rs.zeroExtDelta()
+			flops := rs.relaxLocal()
+			w.Charge(p, flops)
+			for j, q := range rs.rd.Nbrs {
+				pl := &solvePl[p][j]
+				pl.deltas = rs.deltasFor(j)
+				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
+			}
+		})
+		// Wait for neighbors to finish writing, then read.
+		w.RunPhase(func(p int) {
+			rs := states[p]
+			absorb(p)
+			rs.norm = rs.computeNorm()
+			w.Charge(p, 2*float64(rs.rd.M()))
+		})
 		for p := range states {
 			if states[p].relaxed {
 				relaxedRanks++

@@ -53,12 +53,6 @@ type Config struct {
 	// sequentially; results are bit-identical (see the engine-equivalence
 	// tests).
 	Parallel bool
-	// Sched selects the pool engine's epoch discipline: the default
-	// global barrier (rma.SchedBarrier) or per-neighborhood epoch
-	// completion (rma.SchedNeighbor, requires Parallel; the world's
-	// post/start groups are registered from the layout's coupling
-	// neighborships). Results are bit-identical either way.
-	Sched rma.Sched
 	// Local selects the subdomain solver (default LocalGS).
 	Local LocalSolver
 	// Setup, when non-nil, supplies the shared preprocessing (layout +
@@ -77,8 +71,6 @@ type Config struct {
 	// zero value steps only the active set (engine.go), which is
 	// bit-identical to dense stepping — results, statistics, and simulated
 	// time never differ — but skips provably quiescent ranks' host work.
-	// Runs on rma.SchedNeighbor or under host-time fault hooks
-	// (SpinStragglers, HostDelay) fall back to dense automatically.
 	Dense bool
 	// Watchdog is the patience window, in parallel steps, of the
 	// stagnation/deadlock watchdog (see Result.Deadlocked): a provably
@@ -129,11 +121,10 @@ func newWorld(l *Layout, cfg Config) *rma.World {
 	}
 	w := rma.NewWorld(l.P, cfg.model())
 	w.Parallel = cfg.Parallel
-	w.Sched = cfg.Sched
-	// Register the PSCW post/start groups: every method's step-loop Puts
-	// go only to layout neighbors, so the coupling neighborships are
-	// exactly the access groups. Registration also sizes every rank's
-	// staging buffer and window once from its degree, on either scheduler.
+	// Register the access groups: every method's step-loop Puts go only to
+	// layout neighbors, so the coupling neighborships are exactly the
+	// groups, and registration sizes every rank's staging buffer and window
+	// once from its degree.
 	w.SetNeighborhoods(l.NeighborLists())
 	w.InstallFaults(cfg.Faults)
 	w.SetTracer(cfg.Trace)
@@ -177,15 +168,10 @@ type Result struct {
 	Deadlocked   bool
 	DeadlockStep int
 	X            []float64 // gathered global solution
-	// SchedWaits is the neighborhood scheduler's wait diagnostic (counts,
-	// not seconds) — nil unless the run executed groups on
-	// rma.SchedNeighbor. Scheduling-dependent; never part of results.
-	SchedWaits *obs.WaitTally
 	// ActiveHist is the active-set engine's diagnostic: per step, the
 	// number of ranks scheduled to execute phase 1 (mid-step wakeups by
 	// landed traffic are not recounted). Nil when the run stepped densely.
-	// An engine-occupancy observation, like SchedWaits — never part of
-	// results.
+	// An engine-occupancy observation — never part of results.
 	ActiveHist []int
 }
 
@@ -880,7 +866,6 @@ func (res *Result) deadlockAt(step int) {
 // finish fills the summary fields of a result.
 func finish(res *Result, l *Layout, w *rma.World, states []*rankState) {
 	res.Stats = w.Stats()
-	res.SchedWaits = w.WaitTally()
 	res.X = gatherX(l, states)
 	if steps := len(res.History) - 1; steps > 0 {
 		sum := 0.0

@@ -299,10 +299,9 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 			for _, rs := range states {
 				rs.relaxed = false
 			}
-			// The step's three access epochs form one scheduler group: under
-			// rma.SchedNeighbor each rank advances phase to phase on its own
-			// neighborhood's progress alone.
-			w.RunPhases(phase1, phase2, phase3)
+			w.RunPhase(phase1)
+			w.RunPhase(phase2)
+			w.RunPhase(phase3)
 			for p := range states {
 				if states[p].relaxed {
 					relaxedRanks++

@@ -33,30 +33,14 @@ import (
 // Methods declare their own quiescence rules by how they drive the engine:
 // DS (starvation stamps + wakeup calendar under chaos), PS (no starvation
 // clock), BJ (never quiescent — every rank relaxes unconditionally every
-// step, so it stays on the dense RunPhases path by construction).
-
-// activeEligible reports whether this configuration can run the active-set
-// step engine. Dense opts out explicitly; the neighborhood scheduler runs
-// whole step groups per rank (the active set is a per-phase, driver-side
-// notion, and SchedNeighbor already pipelines idle ranks cheaply); host-
-// time fault hooks (SpinStragglers, HostDelay) stall only executed ranks,
-// so skipping would under-stall the wall clock those studies measure.
-func (c Config) activeEligible() bool {
-	if c.Dense || c.Sched == rma.SchedNeighbor {
-		return false
-	}
-	if f := c.Faults; f != nil && (f.SpinStragglers || f.HostDelay != nil) {
-		return false
-	}
-	return true
-}
+// step, so it stays on the dense RunPhase path by construction).
 
 // stepEngine tracks the active set for one run. All fields are touched
 // only on the driving goroutine, between phases.
 type stepEngine struct {
 	w      *rma.World
 	states []*rankState
-	dense  bool // fall back to w.RunPhases for every step
+	dense  bool // run every rank's phases every step (Config.Dense, or the method opted out)
 
 	starve       bool // DS under chaos: starvation stamps + wakeup calendar
 	refreshAfter int
@@ -85,7 +69,7 @@ type stepEngine struct {
 // plan, mirroring the dense drivers' `chaotic` guard.
 func newStepEngine(w *rma.World, states []*rankState, cfg Config, starvation bool) *stepEngine {
 	e := &stepEngine{w: w, states: states}
-	if !cfg.activeEligible() {
+	if cfg.Dense {
 		e.dense = true
 		return e
 	}
@@ -140,10 +124,8 @@ func (e *stepEngine) admit(p, step int, mail bool) {
 // (the next boundary would discard it), so a nonempty window forces
 // execution even when every landing is a fault-injected duplicate.
 func (e *stepEngine) scanMail(step int) {
-	// LiveInboxes is exactly the set of nonempty windows on the barrier
-	// delivery path (including windows retained across pauses), so the scan
-	// is O(receivers), not O(P). SchedNeighbor — where the list is not
-	// maintained — never runs the engine (activeEligible).
+	// LiveInboxes is exactly the set of nonempty windows (including windows
+	// retained across pauses), so the scan is O(receivers), not O(P).
 	for _, p := range e.w.LiveInboxes() {
 		e.admit(int(p), step, true)
 	}

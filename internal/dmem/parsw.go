@@ -169,9 +169,10 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 			for _, rs := range states {
 				rs.relaxed = false
 			}
-			// One scheduler group per step (see blockjacobi.go). Phase 3
-			// absorbs explicit updates.
-			w.RunPhases(phase1, phase2, absorb)
+			// Phase 3 absorbs explicit updates.
+			w.RunPhase(phase1)
+			w.RunPhase(phase2)
+			w.RunPhase(absorb)
 			for p := range states {
 				if states[p].relaxed {
 					relaxedRanks++

@@ -55,38 +55,36 @@ func Piggyback2016(l *Layout, b, x []float64, cfg Config) *Result {
 		for _, rs := range states {
 			rs.relaxed = false
 		}
-		// One scheduler group per step (see blockjacobi.go).
-		w.RunPhases(
-			func(p int) {
-				absorb(p)
-				rs := states[p]
-				wins := rs.norm > 0
-				for j, q := range rs.rd.Nbrs {
-					if !winsOver(rs.norm, p, rs.gamma[j], q) {
-						wins = false
-						break
-					}
+		w.RunPhase(func(p int) {
+			absorb(p)
+			rs := states[p]
+			wins := rs.norm > 0
+			for j, q := range rs.rd.Nbrs {
+				if !winsOver(rs.norm, p, rs.gamma[j], q) {
+					wins = false
+					break
 				}
-				traceDecision(w, step, p, rs, wins)
-				if !wins {
-					return
-				}
-				rs.relaxed = true
-				rs.zeroExtDelta()
-				flops := rs.relaxLocal()
-				rs.norm = rs.computeNorm()
-				w.Charge(p, flops+2*float64(rs.rd.M()))
-				for j, q := range rs.rd.Nbrs {
-					pl := &solvePl[p][j]
-					pl.deltas = rs.deltasFor(j)
-					pl.norm = rs.norm
-					pl.seq = 2 * int64(step)
-					w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
-				}
-			},
-			// No explicit residual update phase: norm changes from incoming
-			// deltas are never announced. This is the deadlock mechanism.
-			absorb)
+			}
+			traceDecision(w, step, p, rs, wins)
+			if !wins {
+				return
+			}
+			rs.relaxed = true
+			rs.zeroExtDelta()
+			flops := rs.relaxLocal()
+			rs.norm = rs.computeNorm()
+			w.Charge(p, flops+2*float64(rs.rd.M()))
+			for j, q := range rs.rd.Nbrs {
+				pl := &solvePl[p][j]
+				pl.deltas = rs.deltasFor(j)
+				pl.norm = rs.norm
+				pl.seq = 2 * int64(step)
+				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
+			}
+		})
+		// No explicit residual update phase: norm changes from incoming
+		// deltas are never announced. This is the deadlock mechanism.
+		w.RunPhase(absorb)
 		for p := range states {
 			if states[p].relaxed {
 				relaxedRanks++

@@ -21,10 +21,7 @@ package rma
 // which lets the boundary fold the skipped ranks' compute cost from a
 // single cached maximum over the idle vector. Paused ranks
 // (FaultPlan.Pauses) neither run nor take the idle charge — dense
-// stepping charges a descheduled rank nothing, and so do we. Host-time
-// straggler hooks (SpinStragglers, HostDelay) fire only for executed
-// ranks; callers that skip ranks under such plans would under-stall the
-// host clock, so the dmem engine declines to dense there.
+// stepping charges a descheduled rank nothing, and so do we.
 
 // RunPhaseActive executes one access epoch over the subset of ranks with
 // active[p] set: f runs for active ranks (sequentially, or sharded over
@@ -51,16 +48,13 @@ func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f
 	if ch := w.chaos; ch != nil {
 		ch.markPaused(w.phases)
 	}
-	if w.chaos == nil && w.trace == nil && w.nb == nil {
+	if w.chaos == nil && w.trace == nil {
 		// Arm the O(active work) boundary: activeRange skips the per-rank
 		// idle flop writes and deliver dispatches to deliverActive, which
 		// folds the skipped ranks' Gamma·idle[p] compute cost analytically
 		// and touches only written windows. With a fault plan or tracer the
 		// per-rank path stays: chaos needs per-rank straggler multipliers
-		// and traces carry a KindRankCost row per idle-charged rank. (A
-		// neighborhood-scheduled world lands messages outside land(), so
-		// its liveInbox bookkeeping cannot be trusted — but such worlds
-		// never reach RunPhaseActive; the nb check is defense in depth.)
+		// and traces carry a KindRankCost row per idle-charged rank.
 		w.fastActive, w.fastList, w.fastIdle = active, actList, idle
 	}
 	if w.Parallel && w.P > 1 {
@@ -144,7 +138,6 @@ func (w *World) activeRange(lo, hi int, f func(int), active []bool, idle []float
 		}
 		if active[p] {
 			f(p)
-			ch.hostStraggle(p, w.phases, w.flops[p]) //dslint:ignore hotalloc caller-supplied FaultPlan.HostDelay dynamic call; fires only under an installed fault plan, never on measured active-set runs
 		} else if idle != nil {
 			w.flops[p] += idle[p]
 		}

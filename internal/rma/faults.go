@@ -17,8 +17,6 @@ package rma
 // identical on the sequential and worker-pool engines (asserted by the
 // chaos engine-equivalence tests). No math/rand global state is touched.
 
-import "sync/atomic"
-
 // FaultPlan describes deterministic fault injection for a World. The zero
 // value injects nothing. Install it with World.InstallFaults before the
 // first phase; the World copies the plan, so one plan value can seed many
@@ -51,29 +49,6 @@ type FaultPlan struct {
 	// PRNG stream is consumed, so the schedule is identical on every
 	// engine and independent of delivery order.
 	StragglerPhaseProb float64
-	// SpinStragglers makes straggler slowdowns real on the host: the
-	// slowed rank's worker busy-spins in proportion to the extra simulated
-	// compute it was charged, so wall-clock scaling studies observe the
-	// stall. Results and simulated time are unaffected.
-	SpinStragglers bool
-	// HostDelay, when non-nil, is invoked after a rank's phase function
-	// whenever its straggler multiplier exceeds 1, with the rank, phase,
-	// and multiplier. Callers inject a real blocking delay (for example
-	// time.Sleep, which the deterministic simulator core must not call
-	// itself) to emulate externally stalled ranks — an I/O hiccup or a
-	// descheduled process rather than extra compute. Unlike a CPU spin, a
-	// blocked rank frees its core, so on small hosts the wall-clock
-	// contrast between epoch disciplines is still observable. Results and
-	// simulated time are unaffected.
-	HostDelay func(rank int, phase int64, mult float64)
-	// HostWorkers overrides the worker-pool size while this plan is
-	// installed (0 keeps the GOMAXPROCS default). A rank blocked in
-	// HostDelay parks its whole worker, so wall-clock studies
-	// over-subscribe the pool to keep non-delayed ranks running —
-	// mirroring MPI, where every rank is its own process and one rank's
-	// stall never deschedules another. Results are bit-identical for
-	// every value.
-	HostWorkers int
 	// Pauses deschedules ranks for windows of phases.
 	Pauses []Pause
 }
@@ -223,14 +198,6 @@ func (w *World) FaultsQuiescent() bool {
 	return len(ch.held) == 0 && w.phases >= ch.lastPause
 }
 
-// rngFree reports that the plan draws nothing from the sequential chaos
-// PRNG: no delays, duplicates, or reorders. Stragglers (constant and
-// per-phase spikes) and pauses are counter-indexed, not stream-drawn, so
-// an rngFree plan runs natively on the neighborhood-epoch scheduler.
-func (ch *chaosState) rngFree() bool {
-	return ch.plan.DelayProb <= 0 && ch.plan.DupProb <= 0 && ch.plan.ReorderProb <= 0
-}
-
 // phaseSpikeMult is the transient cost multiplier applied when a
 // StragglerPhaseProb spike hits a (rank, phase).
 const phaseSpikeMult = 8.0
@@ -261,8 +228,8 @@ func (ch *chaosState) slowAt(p int, phase int64) float64 {
 
 // pausedAt reports whether rank p is descheduled in the given phase. Same
 // predicate markPaused evaluates, but indexed by (rank, phase) instead of
-// materializing a per-phase pausedNow slice — the neighborhood engine
-// asks per rank because ranks run different phases concurrently.
+// materializing a per-phase pausedNow slice — fault asks it about the
+// phase after the one being delivered.
 //
 //dslint:hotpath
 func (ch *chaosState) pausedAt(p int, phase int64) bool {
@@ -275,45 +242,6 @@ func (ch *chaosState) pausedAt(p int, phase int64) bool {
 		}
 	}
 	return false
-}
-
-// spinSink absorbs hostSpin's accumulator so the spin loop cannot be
-// optimized away; atomic because concurrent workers spin concurrently.
-var spinSink atomic.Uint64
-
-// hostSpin burns host CPU roughly proportional to the given flop count.
-// Pure wall-clock ballast for SpinStragglers: it touches no simulator
-// state, so results and simulated time are bit-identical with it on.
-func hostSpin(flops float64) {
-	n := int64(flops)
-	var acc uint64
-	for i := int64(0); i < n; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	spinSink.Add(acc)
-}
-
-// hostStraggle realizes rank p's straggler multiplier for a phase in host
-// time: a CPU spin proportional to the extra simulated flops under
-// SpinStragglers, and/or the plan's HostDelay hook. It touches no
-// simulator state, so results and simulated time are bit-identical with
-// any combination enabled.
-//
-//dslint:hotpath
-func (ch *chaosState) hostStraggle(p int, phase int64, flops float64) {
-	if !ch.plan.SpinStragglers && ch.plan.HostDelay == nil {
-		return
-	}
-	m := ch.slowAt(p, phase)
-	if m <= 1 {
-		return
-	}
-	if ch.plan.SpinStragglers {
-		hostSpin((m - 1) * flops)
-	}
-	if ch.plan.HostDelay != nil {
-		ch.plan.HostDelay(p, phase, m)
-	}
 }
 
 // markPaused refreshes pausedNow for the phase about to run and reports

@@ -116,11 +116,6 @@ type World struct {
 	P        int
 	Model    CostModel
 	Parallel bool // run phases on the persistent worker pool
-	// Sched selects the epoch-completion discipline for RunPhases groups:
-	// SchedBarrier (default, MPI_Win_fence-like global barrier) or
-	// SchedNeighbor (PSCW-like per-neighborhood completion; requires
-	// SetNeighborhoods and Parallel — see sched.go).
-	Sched Sched
 
 	inbox  [][]Message // readable this phase
 	staged [][]Message // staged[from]: puts issued this phase
@@ -184,34 +179,16 @@ type World struct {
 	barrier   sync.WaitGroup
 	stop      chan struct{}
 	closeOnce sync.Once
-	// closed is atomic because Close may run concurrently with workers
-	// parked inside an in-flight neighborhood group (the release path of
-	// Close under SchedNeighbor); Put/RunPhase read it on every call.
+	// closed is atomic because a driver may race Close on its way into a
+	// phase (see drainWorker); Put and RunPhase read it on every call.
 	closed atomic.Bool
-
-	// Registered access groups (SetNeighborhoods), flat: rank p's
-	// neighbors are nbrList[nbrPtr[p]:nbrPtr[p+1]], ascending, and
-	// nbrBack[e] is p's position in the list of neighbor nbrList[e]. Nil
-	// until registered.
-	nbrPtr  []int
-	nbrList []int32
-	nbrBack []int32
-
-	// Neighborhood scheduler (sched.go), nil until the first neighborhood
-	// group runs.
-	nb       *nbState
-	nbActive bool            // a neighborhood group is executing: Put routes to nbPut
-	nbNotify []chan struct{} // per-worker wakeup slots (cap 1)
-	nbParks  []int64         // per-worker park counts (wait tally)
 }
 
-// phaseWork is one unit broadcast to the worker pool: a single
-// barrier-synchronized phase function f (over all ranks, or — when active
-// is non-nil — over the active subset with idle charging, see active.go),
-// or a whole neighborhood-epoch group g.
+// phaseWork is one unit broadcast to the worker pool: a barrier-
+// synchronized phase function f, over all ranks or — when active is
+// non-nil — over the active subset with idle charging (see active.go).
 type phaseWork struct {
 	f      func(int)
-	g      *nbGroup
 	active []bool    // non-nil: run f only where set (RunPhaseActive)
 	idle   []float64 // per-rank flop charge for skipped, unpaused ranks
 }
@@ -233,6 +210,54 @@ func NewWorld(p int, model CostModel) *World {
 	return w
 }
 
+// SetNeighborhoods registers every rank's access group: nbrs[p] lists the
+// ranks whose windows p writes, in ascending order, self excluded. The
+// relation must be symmetric (q ∈ nbrs[p] ⇔ p ∈ nbrs[q]), exactly what a
+// layout's coupling neighborships provide. Must be called before the first
+// phase.
+//
+// Registration sizes every rank's staging buffer and window once, at its
+// degree — a rank puts at most one message per neighbor per phase and so
+// receives at most one per neighbor — carved from one flat allocation (a
+// staging half and a window half). Each carve is a 3-index slice, so a
+// buffer that overflows (fault-injected duplicates, delays and pause
+// retention, or a Put outside the group) moves to its own heap allocation
+// and never writes into the next rank's slots.
+func (w *World) SetNeighborhoods(nbrs [][]int) {
+	if len(nbrs) != w.P {
+		panic(fmt.Sprintf("rma: SetNeighborhoods got %d lists for P=%d", len(nbrs), w.P))
+	}
+	e := 0
+	for p, list := range nbrs {
+		for j, q := range list {
+			if q < 0 || q >= w.P || q == p {
+				panic(fmt.Sprintf("rma: SetNeighborhoods rank %d: bad neighbor %d (P=%d)", p, q, w.P))
+			}
+			if j > 0 && list[j-1] >= q {
+				panic(fmt.Sprintf("rma: SetNeighborhoods rank %d: neighbors not ascending", p))
+			}
+		}
+		e += len(list)
+	}
+	for p, list := range nbrs {
+		for _, q := range list {
+			back := nbrs[q]
+			if j := sort.SearchInts(back, p); j == len(back) || back[j] != p {
+				panic(fmt.Sprintf("rma: SetNeighborhoods: asymmetric neighborhood (%d lists %d, not vice versa)", p, q))
+			}
+		}
+	}
+	stage := make([]Message, 2*e)
+	win := stage[e:]
+	lo := 0
+	for p, list := range nbrs {
+		hi := lo + len(list)
+		w.staged[p] = stage[lo:lo:hi]
+		w.inbox[p] = win[lo:lo:hi]
+		lo = hi
+	}
+}
+
 // Put stages a one-sided write of payload into the window of rank `to`. It
 // becomes visible in to's inbox at the start of the next phase. Put must be
 // called from rank `from`'s phase function. Payloads should be pointers to
@@ -250,10 +275,6 @@ func (w *World) Put(from, to int, tag Tag, bytes int, payload any) {
 	}
 	if uint(bytes) > math.MaxInt32 {
 		panic(fmt.Sprintf("rma: Put size %d out of range", bytes))
-	}
-	if w.nbActive {
-		w.nbPut(from, to, tag, bytes, payload)
-		return
 	}
 	w.staged[from] = append(w.staged[from], Message{Payload: payload, From: int32(from), To: int32(to), Bytes: int32(bytes), Tag: tag}) //dslint:ignore hotalloc staging buffers are degree-sized at SetNeighborhoods and keep their capacity across phases (deliver resets to st[:0])
 	w.msgs[from]++
@@ -289,9 +310,7 @@ func (w *World) Inbox(rank int) []Message {
 // LiveInboxes returns the ranks whose inbox is currently nonempty, in
 // first-landing order, so boundary scans over P ranks can instead walk the
 // handful of windows that were actually written. The slice is valid until
-// the next phase boundary and must not be mutated. Not maintained on the
-// neighborhood-scheduled (SchedNeighbor) delivery path, which assembles
-// windows per rank — callers there must scan Inbox directly.
+// the next phase boundary and must not be mutated.
 //
 //dslint:hotpath
 func (w *World) LiveInboxes() []int32 {
@@ -342,23 +361,6 @@ func (w *World) RunPhase(f func(rank int)) {
 			}
 		}
 	}
-	if ch := w.chaos; ch != nil && (ch.plan.SpinStragglers || ch.plan.HostDelay != nil) {
-		// Host-side straggling: burn real CPU and/or block on the slowed
-		// rank's worker in proportion to the extra simulated cost, so
-		// wall-clock studies see the stall the cost model charges. Paused
-		// ranks did not run, so they do not straggle (matching nbRunPhase).
-		// Results are unaffected.
-		inner := f
-		phase := w.phases
-		//dslint:ignore hotalloc chaos wrapper closure, built only under an installed fault plan
-		f = func(p int) {
-			inner(p)
-			if ch.pausedNow[p] {
-				return
-			}
-			ch.hostStraggle(p, phase, w.flops[p])
-		}
-	}
 	if w.Parallel && w.P > 1 {
 		w.poolOnce.Do(w.startPool) //dslint:ignore hotalloc method value for one-time pool start; Once skips it on every later phase
 		w.barrier.Add(len(w.workers))
@@ -374,18 +376,13 @@ func (w *World) RunPhase(f func(rank int)) {
 	w.deliver()
 }
 
-// startPool creates the persistent workers: at most GOMAXPROCS goroutines
-// (or exactly FaultPlan.HostWorkers when the installed plan requests pool
-// over-subscription for blocking host delays), each owning a contiguous
-// chunk of ranks for its lifetime. Workers survive across phases (and
-// across solver steps) until Close.
+// startPool creates the persistent workers: at most GOMAXPROCS goroutines,
+// each owning a contiguous chunk of ranks for its lifetime. Workers survive
+// across phases (and across solver steps) until Close.
 //
 //dslint:ignore hotalloc one-time worker-pool construction behind poolOnce
 func (w *World) startPool() {
 	n := runtime.GOMAXPROCS(0)
-	if ch := w.chaos; ch != nil && ch.plan.HostWorkers > 0 {
-		n = ch.plan.HostWorkers
-	}
 	if n > w.P {
 		n = w.P
 	}
@@ -396,37 +393,26 @@ func (w *World) startPool() {
 		if hi > w.P {
 			hi = w.P
 		}
-		id := len(w.workers)
 		ch := make(chan phaseWork, 1)
 		w.workers = append(w.workers, ch)
-		w.nbNotify = append(w.nbNotify, make(chan struct{}, 1))
-		w.nbParks = append(w.nbParks, 0)
-		go func(id, lo, hi int, ch <-chan phaseWork) {
+		go func(lo, hi int, ch <-chan phaseWork) {
 			for {
 				select {
 				case pw := <-ch:
-					if pw.g != nil {
-						stopped := w.nbRunChunk(id, lo, hi, pw.g)
-						w.barrier.Done()
-						if stopped {
-							w.drainWorker(ch)
-							return
-						}
-					} else if pw.active != nil {
+					if pw.active != nil {
 						w.activeRange(lo, hi, pw.f, pw.active, pw.idle)
-						w.barrier.Done()
 					} else {
 						for p := lo; p < hi; p++ {
 							pw.f(p)
 						}
-						w.barrier.Done()
 					}
+					w.barrier.Done()
 				case <-w.stop:
 					w.drainWorker(ch)
 					return
 				}
 			}
-		}(id, lo, hi, ch)
+		}(lo, hi, ch)
 	}
 }
 
@@ -447,12 +433,8 @@ func (w *World) drainWorker(ch <-chan phaseWork) {
 
 // Close releases the worker pool. It is safe to call multiple times and on
 // worlds that never ran a parallel phase. Close must not race with
-// RunPhase; under SchedNeighbor it additionally may be called (once the
-// pool exists) while a RunPhases group is in flight: workers parked on
-// neighborhood waits are released, every worker exits, and the blocked
-// RunPhases call panics with ErrClosed. After Close, Put, RunPhase, and
-// RunPhases panic with ErrClosed instead of hanging on the released
-// workers.
+// RunPhase. After Close, Put, RunPhase, and RunPhaseActive panic with
+// ErrClosed instead of hanging on the released workers.
 func (w *World) Close() {
 	w.closeOnce.Do(func() {
 		w.closed.Store(true)

@@ -1,8 +1,10 @@
 package rma
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -182,5 +184,180 @@ func TestQuickEnginesEquivalent(t *testing.T) {
 func TestMessageSize(t *testing.T) {
 	if got := unsafe.Sizeof(Message{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 32", got)
+	}
+}
+
+// ringNeighborhoods builds the symmetric ±1 ring: every rank's access group
+// is its two ring neighbors.
+func ringNeighborhoods(p int) [][]int {
+	nbrs := make([][]int, p)
+	for r := 0; r < p; r++ {
+		a, b := (r+p-1)%p, (r+1)%p
+		switch {
+		case a == b: // p == 2
+			nbrs[r] = []int{a}
+		case a < b:
+			nbrs[r] = []int{a, b}
+		default:
+			nbrs[r] = []int{b, a}
+		}
+	}
+	return nbrs
+}
+
+// runRingPattern drives a deterministic ring-exchange pattern for the given
+// number of phases over a world with registered ring neighborhoods,
+// returning the per-rank received-message streams and the final stats.
+func runRingPattern(parallel bool, seed int64, p, phases int, plan *FaultPlan) ([][]int64, Stats) {
+	w := NewWorld(p, DefaultCostModel())
+	w.Parallel = parallel
+	w.SetNeighborhoods(ringNeighborhoods(p))
+	defer w.Close()
+	if plan != nil {
+		w.InstallFaults(plan)
+	}
+	got := make([][]int64, p)
+	for phase := 0; phase < phases; phase++ {
+		w.RunPhase(func(rank int) {
+			for _, m := range w.Inbox(rank) {
+				got[rank] = append(got[rank], int64(m.From)*1_000_000+m.Payload.(int64))
+			}
+			h := seed + int64(phase)*131 + int64(rank)*17
+			if h%3 != 0 {
+				w.Put(rank, (rank+1)%p, TagSolve, int(h%64), int64(phase)*100+int64(rank))
+			}
+			if h%5 != 0 {
+				w.Put(rank, (rank+p-1)%p, TagResidual, int(h%32), int64(phase)*100+int64(rank)+7)
+			}
+			w.Charge(rank, float64(h%1000))
+		})
+	}
+	return got, w.Stats()
+}
+
+// assertPoolEquivalent fails unless the worker-pool engine reproduces the
+// sequential engine's message streams and stats, SimTime included, bit for
+// bit on the ring pattern.
+func assertPoolEquivalent(t *testing.T, seed int64, p, phases int, plan *FaultPlan) {
+	t.Helper()
+	refGot, refStats := runRingPattern(false, seed, p, phases, plan)
+	got, stats := runRingPattern(true, seed, p, phases, plan)
+	if stats != refStats {
+		t.Fatalf("p=%d seed=%d stats diverge:\nseq:  %+v\npool: %+v", p, seed, refStats, stats)
+	}
+	for r := range refGot {
+		if len(got[r]) != len(refGot[r]) {
+			t.Fatalf("p=%d seed=%d rank %d: got %d msgs, want %d", p, seed, r, len(got[r]), len(refGot[r]))
+		}
+		for i := range refGot[r] {
+			if got[r][i] != refGot[r][i] {
+				t.Fatalf("p=%d seed=%d rank %d msg %d: got %d, want %d", p, seed, r, i, got[r][i], refGot[r][i])
+			}
+		}
+	}
+}
+
+// The worker-pool engine delivers the same message streams, the same
+// stats, and bit-identical SimTime as the sequential engine on worlds with
+// registered (degree-sized) windows, including P smaller than the pool.
+func TestPoolEngineEquivalent(t *testing.T) {
+	for _, p := range []int{2, 3, 8, 33} {
+		for _, phases := range []int{6, 12, 18} {
+			for seed := int64(1); seed <= 4; seed++ {
+				assertPoolEquivalent(t, seed, p, phases, nil)
+			}
+		}
+	}
+}
+
+func TestSetNeighborhoodsValidation(t *testing.T) {
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	w := NewWorld(4, CostModel{})
+	expectPanic("wrong length", func() { w.SetNeighborhoods(make([][]int, 3)) })
+	expectPanic("self neighbor", func() {
+		w.SetNeighborhoods([][]int{{1}, {1}, {3}, {2}})
+	})
+	expectPanic("out of range", func() {
+		w.SetNeighborhoods([][]int{{4}, {0}, {3}, {2}})
+	})
+	expectPanic("not ascending", func() {
+		w.SetNeighborhoods([][]int{{3, 1}, {0}, {3}, {0, 2}})
+	})
+	expectPanic("asymmetric", func() {
+		w.SetNeighborhoods([][]int{{1}, {0, 2}, {}, {}})
+	})
+	// A valid symmetric relation (including an isolated rank) is accepted.
+	w.SetNeighborhoods([][]int{{1}, {0, 2}, {1}, {}})
+}
+
+// SetNeighborhoods sizes every staging buffer and window at the rank's
+// degree, so a ring exchange runs allocation-free from its first phase,
+// and a Put outside the registered group overflows into its own buffer
+// without touching a neighbor's slots.
+func TestSetNeighborhoodsSizesWindowsAtDegree(t *testing.T) {
+	const p = 8
+	w := NewWorld(p, CostModel{})
+	w.SetNeighborhoods(ringNeighborhoods(p))
+	for r := 0; r < p; r++ {
+		if cap(w.staged[r]) != 2 || cap(w.inbox[r]) != 2 {
+			t.Fatalf("rank %d: staging cap %d, window cap %d, want 2 and 2", r, cap(w.staged[r]), cap(w.inbox[r]))
+		}
+	}
+	ring := func(rank int) {
+		w.Put(rank, (rank+1)%p, TagSolve, 8, nil)
+		w.Put(rank, (rank+p-1)%p, TagSolve, 8, nil)
+	}
+	if got := testing.AllocsPerRun(20, func() { w.RunPhase(ring) }); got != 0 {
+		t.Errorf("ring phase on degree-sized windows allocates %.1f allocs/op, want 0", got)
+	}
+	w.RunPhase(func(rank int) {
+		ring(rank)
+		if rank == 0 {
+			w.Put(0, 4, TagSolve, 8, "far") // outside rank 0's group
+		}
+	})
+	w.RunPhase(func(rank int) {
+		want := 2
+		if rank == 4 {
+			want = 3
+		}
+		if in := w.Inbox(rank); len(in) != want {
+			t.Errorf("rank %d window holds %d messages, want %d", rank, len(in), want)
+		}
+	})
+}
+
+// Close stops every pool worker, stays idempotent, and leaves the world
+// failing loudly on further use.
+func TestCloseReleasesWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := NewWorld(8, DefaultCostModel())
+	w.Parallel = true
+	w.SetNeighborhoods(ringNeighborhoods(8))
+	w.RunPhase(func(rank int) { w.Put(rank, (rank+1)%8, TagSolve, 8, nil) })
+	w.Close()
+	w.Close()
+	func() {
+		defer func() {
+			if r := recover(); r != ErrClosed {
+				t.Errorf("Put after Close: recover() = %v, want ErrClosed", r)
+			}
+		}()
+		w.Put(0, 1, TagSolve, 8, nil)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak after Close: %d live, want <= %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -12,7 +12,9 @@ import (
 // Both "general" and "symmetric" symmetry fields are supported; symmetric
 // files store the lower triangle and are expanded on read. Pattern files are
 // read with all values set to 1. Only square matrices are accepted, since
-// every consumer in this repository solves Ax=b.
+// every consumer in this repository solves Ax=b. Malformed input, including
+// a size line with negative counts, more entries than rows×cols, or more
+// than maxMMDim rows, is an error, never a panic.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -44,11 +46,27 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d %d %d", rows, cols, nnz)
+	}
 	if rows != cols {
 		return nil, fmt.Errorf("sparse: non-square MatrixMarket matrix %dx%d", rows, cols)
 	}
+	if rows > maxMMDim {
+		return nil, fmt.Errorf("sparse: MatrixMarket dimension %d exceeds the limit %d", rows, maxMMDim)
+	}
+	// nnz > rows*cols, without forming the product.
+	if nnz > 0 && (rows == 0 || (nnz-1)/rows >= cols) {
+		return nil, fmt.Errorf("sparse: MatrixMarket declares %d entries for a %dx%d matrix", nnz, rows, cols)
+	}
 
-	coo := NewCOO(rows, nnz*2)
+	// The declared count only hints the capacity: a lying size line must
+	// not reserve memory the stream never fills.
+	capHint := nnz
+	if symm == "symmetric" {
+		capHint *= 2
+	}
+	coo := NewCOO(rows, min(capHint, maxMMCapHint))
 	read := 0
 	for read < nnz && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -97,6 +115,16 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	return coo.ToCSR(), nil
 }
+
+// maxMMDim bounds the dimension ReadMatrixMarket accepts: the CSR row
+// pointers alone cost 8 bytes per row, even for a file with no entries.
+// It is ten times the largest matrix of the paper's suite (Flan_1565,
+// 1.56M rows).
+const maxMMDim = 1 << 24
+
+// maxMMCapHint caps the entry capacity ReadMatrixMarket reserves up front;
+// larger files grow the builder by append as their entries arrive.
+const maxMMCapHint = 1 << 20
 
 // WriteMatrixMarket writes the matrix in "coordinate real general" format.
 func WriteMatrixMarket(w io.Writer, a *CSR) error {

@@ -72,10 +72,53 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"bad value":      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 xyz\n",
 		"bad row index":  "%%MatrixMarket matrix coordinate real general\n2 2 1\nq 1 1\n",
 		"truncated line": "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
+		"negative nnz":   "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+		"negative dims":  "%%MatrixMarket matrix coordinate real general\n-1 -1 0\n",
+		"nnz over n*n":   "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1\n",
+		"huge nnz":       "%%MatrixMarket matrix coordinate real general\n2 2 4000000000000000000\n1 1 1\n",
+		"huge dims":      "%%MatrixMarket matrix coordinate real general\n4000000000000000000 4000000000000000000 1\n1 1 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// FuzzReadMatrixMarket: the reader never panics on arbitrary input, and
+// every matrix it accepts round-trips through WriteMatrixMarket unchanged.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 2 -0.5\n")
+	f.Add("%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 4\n1 1 2\n2 1 -1\n2 2 2\n3 3 2\n")
+	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n2 1\n")
+	f.Add("%%MatrixMarket matrix coordinate integer general\n1 1 2\n1 1 3\n1 1 -3\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		a, err := ReadMatrixMarket(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMatrixMarket(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadMatrixMarket(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written matrix: %v", err)
+		}
+		if b.N != a.N || len(b.Col) != len(a.Col) {
+			t.Fatalf("round trip shape: n=%d nnz=%d, want n=%d nnz=%d", b.N, len(b.Col), a.N, len(a.Col))
+		}
+		for i := range a.RowPtr {
+			if a.RowPtr[i] != b.RowPtr[i] {
+				t.Fatalf("round trip row pointer %d: %d, want %d", i, b.RowPtr[i], a.RowPtr[i])
+			}
+		}
+		for k := range a.Col {
+			same := math.Float64bits(a.Val[k]) == math.Float64bits(b.Val[k]) ||
+				(math.IsNaN(a.Val[k]) && math.IsNaN(b.Val[k]))
+			if a.Col[k] != b.Col[k] || !same {
+				t.Fatalf("round trip entry %d: (%d, %g), want (%d, %g)", k, b.Col[k], b.Val[k], a.Col[k], a.Val[k])
+			}
+		}
+	})
 }
