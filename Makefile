@@ -48,12 +48,13 @@ lint-cache-check:
 # tests under the race detector: together they prove the worker pools are
 # race-free and bit-identical to their sequential forms, faults included
 # (DESIGN.md §6, §9).
-# The chaos engine-equivalence suites run again at 1, 2 and 4 procs: payload
-# ownership under fault-injected pauses only shows up when ranks really run
-# concurrently.
+# The chaos engine-equivalence suites, the runtime's phase contract tests
+# (deliver is the one delivery path) and the chaos fuzz target's seed
+# corpus run again at 1, 2 and 4 procs: payload ownership under
+# fault-injected pauses only shows up when ranks really run concurrently.
 race:
 	$(GO) test -race ./internal/rma/... ./internal/dmem/... ./internal/parallel/... ./internal/sparse/... ./internal/spdirect/... ./internal/obs/...
-	$(GO) test -race -cpu 1,2,4 -run 'TestChaosEngineEquivalence|TestPoolChaosIdentical|TestPoolRNGPlanIdentical|TestActiveDenseEquivalence|TestChaosDeterministicAcrossEngines|TestPoolChaosEquivalent|TestPoolRNGPlanEquivalent' ./internal/rma/ ./internal/dmem/
+	$(GO) test -race -cpu 1,2,4 -run 'TestChaosEngineEquivalence|TestPoolChaosIdentical|TestPoolRNGPlanIdentical|TestActiveDenseEquivalence|TestChaosDeterministicAcrossEngines|TestPoolChaosEquivalent|TestPoolRNGPlanEquivalent|TestRunPhaseActiveMatchesRunPhase|TestRunPhaseActiveFullMaskIsRunPhase|TestRunPhaseActiveCostsSkippedReceivers|FuzzActiveDenseChaos' ./internal/rma/ ./internal/dmem/
 
 # End-to-end fault-injection smoke: both binaries on a small problem with
 # delay faults. Exercises flag validation, the chaos table, and the

@@ -135,7 +135,6 @@ func main() {
 	locSolver := flag.String("loc_solver", "gs", "local subdomain solver for every run: gs, direct (sparse LDLT), or auto")
 	kernelWorkers := flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
 	goroutines := flag.Bool("goroutines", false, "run simulated worlds on the rma worker-pool engine")
-	active := flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 	verbose := flag.Bool("v", false, "log driver progress (cache-skipped cells, shared setups) to stderr")
 	chaos := flag.Float64("chaos", 0, "inject delay faults into every run: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (chaos runs are bit-reproducible per seed)")
@@ -172,7 +171,7 @@ func main() {
 
 	cfg := bench.Config{Ranks: *ranks, Steps: *steps, Quick: *quick, Seed: *seed,
 		Par: *par, Goroutines: *goroutines,
-		Dense: !*active, ChaosSeed: *chaosSeed, Local: local,
+		ChaosSeed: *chaosSeed, Local: local,
 		TraceDir: *traceDir, MetricsDir: *metricsDir}
 	if *verbose {
 		cfg.LogW = os.Stderr

@@ -3,8 +3,9 @@ package main
 // The paper-scale scaling study (results/scaling.txt): host wall-clock,
 // simulated time, message counts, and peak RSS for BJ/PS/DS at
 // P ∈ {256, 1024, 4096, 8192} simulated ranks on the worker-pool engine,
-// with dense-vs-active host-time columns (every rung audits active against
-// dense for bit-identity), and a point-load experiment where the
+// with dense-vs-active host-time columns (each the median and min–max of
+// timedRepeats runs; every rung audits active against dense for
+// bit-identity), and a point-load experiment where the
 // active-set engine must deliver its headline wall-clock win (the classic
 // Southwell setting — residual zero away from the load — drains the
 // active set to a wavefront). Wall-clock and /proc reads are deliberately
@@ -16,6 +17,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -57,12 +59,14 @@ func runScaling(w io.Writer, cfg bench.Config) error {
 	a := ent.Build()
 
 	fmt.Fprintf(w, "# Scaling study: %s (n=%d, nnz=%d), %d steps/run, seed %d\n", matName, a.N, a.NNZ(), steps, seed)
-	fmt.Fprintf(w, "# engine: worker-pool; dense/active(ms) = -active off/on. Every rung audits the two\n")
-	fmt.Fprintf(w, "# runs for bit-identity. Uniform random x0 keeps most ranks relaxing or fielding mail,\n")
+	fmt.Fprintf(w, "# engine: worker-pool; dense = every rank runs every phase (dmem.Config.Dense), active =\n")
+	fmt.Fprintf(w, "# the step engine's active set (BJ never sleeps a rank, so both run the full mask).\n")
+	fmt.Fprintf(w, "# Host times: median [min-max] of %d runs, each after a GC. Every rung audits dense and\n", timedRepeats)
+	fmt.Fprintf(w, "# active for bit-identity. Uniform random x0 keeps most ranks relaxing or fielding mail,\n")
 	fmt.Fprintf(w, "# so the active set stays nearly full here — see the point-load experiment below for\n")
 	fmt.Fprintf(w, "# the regime active-set stepping is built for.\n")
 	fmt.Fprintf(w, "# host: GOMAXPROCS=%d; peak RSS is the process high-water mark (VmHWM) after the rung\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%7s  %-6s  %10s  %12s  %10s  %9s  %10s  %8s  %12s\n",
+	fmt.Fprintf(w, "%7s  %-6s  %10s  %12s  %10s  %22s  %22s  %8s  %12s\n",
 		"P", "method", "final||r||", "simtime(s)", "msgs", "dense(ms)", "active(ms)", "speedup", "peakRSS(MB)")
 
 	for _, p := range ladder {
@@ -84,11 +88,11 @@ func runScaling(w io.Writer, cfg bench.Config) error {
 		fmt.Fprintf(w, "%7d  setup: partition+layout+factor %.0f ms\n", p, setupMS)
 		for _, m := range scalingMethods {
 			b, x := problem.ZeroBSystem(a, seed)
-			denseRes, denseMS, err := timedRun(a, b, x, setup, m, p, steps, cfg.Local, true)
+			denseRes, denseT, err := timedRun(a, b, x, setup, m, p, steps, cfg.Local, true)
 			if err != nil {
 				return err
 			}
-			actRes, actMS, err := timedRun(a, b, x, setup, m, p, steps, cfg.Local, false)
+			actRes, actT, err := timedRun(a, b, x, setup, m, p, steps, cfg.Local, false)
 			if err != nil {
 				return err
 			}
@@ -96,9 +100,9 @@ func runScaling(w io.Writer, cfg bench.Config) error {
 			if err := sameResult(actRes, denseRes); err != nil {
 				return fmt.Errorf("scaling: P=%d %s: active vs dense stepping diverge: %w", p, m, err)
 			}
-			fmt.Fprintf(w, "%7d  %-6s  %10.3e  %12.4f  %10d  %9.1f  %10.1f  %8.2fx  %12s\n",
+			fmt.Fprintf(w, "%7d  %-6s  %10.3e  %12.4f  %10d  %22s  %22s  %8.2fx  %12s\n",
 				p, m, denseRes.Final().ResNorm, denseRes.Stats.SimTime, denseRes.Stats.TotalMsgs(),
-				denseMS, actMS, denseMS/actMS, peakRSSMB())
+				denseT, actT, denseT.med/actT.med, peakRSSMB())
 			if s := activeSummary(actRes); s != "" {
 				fmt.Fprintf(w, "%7d  %-6s  %s\n", p, m, s)
 			}
@@ -109,28 +113,47 @@ func runScaling(w io.Writer, cfg bench.Config) error {
 	return runPointLoad(w, cfg, seed)
 }
 
-// timedRun solves one (method, P) cell off a shared setup and returns the
-// result plus host milliseconds. Always on the pool engine; dense forces
-// dense stepping (the -active=false path). b and x are read-only to the
-// solver, so one pair serves every run of a cell.
-func timedRun(a *sparse.CSR, b, x []float64, setup *dmem.Setup, m core.DistMethod, p, steps int, local dmem.LocalSolver, dense bool) (*dmem.Result, float64, error) {
-	// Collect the previous run's garbage outside the timed region so a
-	// major GC from a neighboring rung cannot land inside a short run and
-	// distort its wall-clock column.
-	runtime.GC()
-	t0 := time.Now()
-	res, err := core.SolveDistributed(a, b, x, core.DistOptions{
-		Method: m, Ranks: p, Steps: steps, Setup: setup,
-		Parallel: true, Local: local, Dense: dense,
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("scaling: %s P=%d: %w", m, p, err)
+// timedRepeats is how many times timedRun solves each cell: one timing
+// of a cell does not reproduce from one artifact to the next.
+const timedRepeats = 3
+
+// hostTime is the host wall-clock spread of one cell's repeats, in ms.
+type hostTime struct{ med, min, max float64 }
+
+func (h hostTime) String() string { return fmt.Sprintf("%.1f [%.1f-%.1f]", h.med, h.min, h.max) }
+
+// timedRun solves one (method, P) cell off a shared setup timedRepeats
+// times on the pool engine, each run after a GC, and returns the result
+// plus the host-time spread; every repeat must reproduce the first bit for
+// bit. dense runs every rank every phase (dmem.Config.Dense). b and x are
+// read-only to the solver, so one pair serves every run of a cell.
+func timedRun(a *sparse.CSR, b, x []float64, setup *dmem.Setup, m core.DistMethod, p, steps int, local dmem.LocalSolver, dense bool) (*dmem.Result, hostTime, error) {
+	var first *dmem.Result
+	var ms []float64
+	for i := 0; i < timedRepeats; i++ {
+		runtime.GC() // keep a neighboring run's garbage out of the timed region
+		t0 := time.Now()
+		res, err := core.SolveDistributed(a, b, x, core.DistOptions{
+			Method: m, Ranks: p, Steps: steps, Setup: setup,
+			Parallel: true, Local: local, Dense: dense,
+		})
+		ms = append(ms, time.Since(t0).Seconds()*1e3)
+		if err == nil && first != nil {
+			err = sameResult(res, first)
+		}
+		if err != nil {
+			return nil, hostTime{}, fmt.Errorf("scaling: %s P=%d run %d: %w", m, p, i, err)
+		}
+		if first == nil {
+			first = res
+		}
 	}
-	return res, time.Since(t0).Seconds() * 1e3, nil
+	sort.Float64s(ms)
+	return first, hostTime{ms[len(ms)/2], ms[0], ms[len(ms)-1]}, nil
 }
 
-// activeSummary renders a run's active-set occupancy ("" for dense runs:
-// no engine was engaged, e.g. BJ, which is never quiescent by
+// activeSummary renders a run's active-set occupancy ("" for runs that
+// never sleep a rank: dense runs, and BJ, which is never quiescent by
 // declaration).
 func activeSummary(res *dmem.Result) string {
 	if len(res.ActiveHist) == 0 {
@@ -165,7 +188,8 @@ func runPointLoad(w io.Writer, cfg bench.Config, seed int64) error {
 		return fmt.Errorf("scaling: point load: %w", err)
 	}
 	fmt.Fprintf(w, "\n# Point-load experiment: poisson2d %dx%d scaled (n=%d), b = e_k at the grid center, x0 = 0,\n", grid, grid, a.N)
-	fmt.Fprintf(w, "# DS, %d steps/run, pool engine, dense vs active stepping (results audited bit-identical)\n", steps)
+	fmt.Fprintf(w, "# DS, %d steps/run, pool engine, dense vs active stepping (results audited bit-identical),\n", steps)
+	fmt.Fprintf(w, "# host times median [min-max] of %d runs\n", timedRepeats)
 	for _, p := range ladder {
 		t0 := time.Now()
 		part := partition.Partition(a, p, partition.Options{Seed: seed})
@@ -181,19 +205,19 @@ func runPointLoad(w io.Writer, cfg bench.Config, seed int64) error {
 		b := make([]float64, a.N)
 		b[a.N/2+grid/2] = 1
 		x := make([]float64, a.N)
-		denseRes, denseMS, err := timedRun(a, b, x, setup, core.DistSWD, p, steps, cfg.Local, true)
+		denseRes, denseT, err := timedRun(a, b, x, setup, core.DistSWD, p, steps, cfg.Local, true)
 		if err != nil {
 			return err
 		}
-		actRes, actMS, err := timedRun(a, b, x, setup, core.DistSWD, p, steps, cfg.Local, false)
+		actRes, actT, err := timedRun(a, b, x, setup, core.DistSWD, p, steps, cfg.Local, false)
 		if err != nil {
 			return err
 		}
 		if err := sameResult(actRes, denseRes); err != nil {
 			return fmt.Errorf("scaling: point load P=%d: active vs dense stepping diverge: %w", p, err)
 		}
-		fmt.Fprintf(w, "P=%d DS point load: setup %.0f ms; dense %.1f ms, active %.1f ms (%.2fx; identical results), final||r|| %.3e\n",
-			p, setupMS, denseMS, actMS, denseMS/actMS, actRes.Final().ResNorm)
+		fmt.Fprintf(w, "P=%d DS point load: setup %.0f ms; dense %s ms, active %s ms (%.2fx; identical results), final||r|| %.3e\n",
+			p, setupMS, denseT, actT, denseT.med/actT.med, actRes.Final().ResNorm)
 		fmt.Fprintf(w, "P=%d %s\n", p, activeSummary(actRes))
 	}
 	return nil

@@ -124,7 +124,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Bool("goroutines", false, "alias for -par (kept for artifact compatibility)")
 		par      = flag.Bool("par", false, "run simulated ranks on the persistent worker-pool engine")
-		active   = flag.Bool("active", true, "active-set stepping: skip provably quiescent ranks (bit-identical results; -active=false forces dense stepping)")
 		kernWkrs = flag.Int("kernel-workers", 0, "workers for the shared numerical-kernel pool; results are identical for every value (0 = SOUTHWELL_KERNEL_WORKERS env or GOMAXPROCS, 1 = sequential kernels)")
 		grid     = flag.Int("grid", 100, "grid dimension for the default Laplace problem")
 		chaos    = flag.Float64("chaos", 0, "inject delay faults: per-message probability of a 1-3 phase delivery delay (0 = perfect network)")
@@ -206,8 +205,8 @@ func main() {
 		Method: opts.method, Ranks: *ranks, Steps: *sweepMax, Target: *target,
 		PartSeed: *seed,
 		Parallel: *parallel || *par,
-		Local:    opts.local, Dense: !*active,
-		Faults: opts.faults,
+		Local:    opts.local,
+		Faults:   opts.faults,
 	}
 	var rec *obs.Recorder
 	var poolBase kernpool.PoolStats

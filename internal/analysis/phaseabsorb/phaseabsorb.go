@@ -4,16 +4,24 @@
 // Every dmem method must absorb its inbox each phase: residual deltas are
 // additive and commute under reordering, so the methods stay exact under
 // fault injection only if every landed message is read before the next
-// decision (paper §3; DESIGN.md §8). A RunPhase call inside a step loop
-// whose phase function never reads World.Inbox — directly or through a
-// local absorb closure — leaves landed deltas unread for a full step,
-// silently desynchronizing the Γ/Γ̃ bookkeeping. Setup phases outside
-// loops are exempt (initial exchanges legitimately precede any inbox).
+// decision (paper §3; DESIGN.md §8). A phase whose function never reads
+// World.Inbox — directly or through a local absorb closure — leaves landed
+// deltas unread for a full step, silently desynchronizing the Γ/Γ̃
+// bookkeeping. Two phase entries are checked:
+//
+//   - a World.RunPhase or World.RunPhaseActive call inside a loop (its
+//     phase function is the last argument). Setup phases outside loops are
+//     exempt (initial exchanges legitimately precede any inbox);
+//   - a call to a step driver: a function whose doc comment carries
+//     //dslint:phasedriver runs every func-typed argument as a phase of
+//     every step, so each such argument is checked at the call site. The
+//     driver's own body forwards those functions and is not checked.
 package phaseabsorb
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"southwell/internal/analysis/framework"
 	"southwell/internal/analysis/lintutil"
@@ -22,40 +30,108 @@ import (
 // Analyzer is the phaseabsorb check.
 var Analyzer = &framework.Analyzer{
 	Name: "phaseabsorb",
-	Doc: "flag RunPhase calls in step loops whose phase function never drains " +
-		"the inbox (World.Inbox) in the same iteration",
+	Doc: "flag phase functions that never drain the inbox (World.Inbox): RunPhase " +
+		"and RunPhaseActive calls in step loops, and the arguments of //dslint:phasedriver step drivers",
 	Run: run,
 }
 
 func run(pass *framework.Pass) error {
+	drivers := phaseDrivers(pass)
 	for _, f := range pass.Files {
 		draining := drainingFuncs(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
-			switch loop := n.(type) {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A driver's body forwards its callers' phase functions,
+				// which are checked where it is called.
+				return !drivers[pass.TypesInfo.Defs[n.Name]]
+			case *ast.CallExpr:
+				if fn := callee(pass, n); fn != nil && drivers[fn] {
+					checkDriverCall(pass, n, fn, draining)
+				}
+				return true
 			case *ast.ForStmt:
-				body = loop.Body
+				body = n.Body
 			case *ast.RangeStmt:
-				body = loop.Body
+				body = n.Body
 			default:
 				return true
 			}
 			ast.Inspect(body, func(m ast.Node) bool {
 				call, ok := m.(*ast.CallExpr)
-				if !ok || lintutil.WorldMethod(pass.TypesInfo, call, "RunPhase") == nil {
+				if !ok {
 					return true
 				}
-				if len(call.Args) == 1 && phaseDrains(pass, call.Args[0], draining) {
+				name := "RunPhase"
+				if lintutil.WorldMethod(pass.TypesInfo, call, name) == nil {
+					name = "RunPhaseActive"
+					if lintutil.WorldMethod(pass.TypesInfo, call, name) == nil {
+						return true
+					}
+				}
+				if len(call.Args) > 0 && phaseDrains(pass, call.Args[len(call.Args)-1], draining) {
 					return true
 				}
 				pass.Reportf(call.Pos(),
-					"RunPhase in a step loop with a phase function that never drains the inbox; absorb World.Inbox in the same iteration so residual deltas stay exact")
+					"%s in a step loop with a phase function that never drains the inbox; absorb World.Inbox in the same iteration so residual deltas stay exact", name)
 				return true
 			})
 			return true
 		})
 	}
 	return nil
+}
+
+// phaseDrivers collects the package's step drivers: functions whose doc
+// comment carries //dslint:phasedriver.
+func phaseDrivers(pass *framework.Pass) map[types.Object]bool {
+	drivers := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			for _, c := range fd.Doc.List {
+				if strings.HasPrefix(c.Text, "//dslint:phasedriver") {
+					if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
+						drivers[obj] = true
+					}
+				}
+			}
+		}
+	}
+	return drivers
+}
+
+// callee returns the function or method a call invokes by name, or nil.
+func callee(pass *framework.Pass, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return pass.TypesInfo.Uses[fun]
+	case *ast.SelectorExpr:
+		return pass.TypesInfo.Uses[fun.Sel]
+	}
+	return nil
+}
+
+// checkDriverCall reports every func-typed argument of a step-driver call
+// that never drains the inbox.
+func checkDriverCall(pass *framework.Pass, call *ast.CallExpr, driver types.Object, draining map[types.Object]bool) {
+	for _, arg := range call.Args {
+		t := pass.TypesInfo.TypeOf(arg)
+		if t == nil {
+			continue
+		}
+		if _, ok := t.Underlying().(*types.Signature); !ok {
+			continue
+		}
+		if !phaseDrains(pass, arg, draining) {
+			pass.Reportf(arg.Pos(),
+				"phase function passed to step driver %s never drains the inbox; absorb World.Inbox in every phase so residual deltas stay exact", driver.Name())
+		}
+	}
 }
 
 // phaseDrains reports whether the phase-function argument drains the

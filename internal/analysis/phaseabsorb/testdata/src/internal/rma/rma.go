@@ -18,5 +18,15 @@ func (w *World) RunPhase(f func(rank int)) {
 	}
 }
 
+// RunPhaseActive executes one access epoch over the ranks with active[p]
+// set.
+func (w *World) RunPhaseActive(active []bool, list []int32, idle []float64, f func(rank int)) {
+	for p := 0; p < w.P; p++ {
+		if active == nil || active[p] {
+			f(p)
+		}
+	}
+}
+
 // Inbox returns the messages delivered to rank at the last boundary.
 func (w *World) Inbox(rank int) []Message { return nil }

@@ -54,9 +54,6 @@ type Config struct {
 	// Goroutines runs each simulated world on the rma worker-pool engine
 	// (bit-identical results; see the dmem engine-equivalence tests).
 	Goroutines bool
-	// Dense disables the active-set step engine (see core.DistOptions).
-	// Bit-identical either way, so it too stays out of the run-cache key.
-	Dense bool
 	// LogW, when non-nil, receives verbose driver progress: cells skipped
 	// via the run cache and setups shared via the setup cache (-v in
 	// cmd/benchtables). Logging never changes results.
@@ -323,8 +320,8 @@ func runSuite(cfg Config, name string, method core.DistMethod, ranks, steps int)
 	b, x := problem.ZeroBSystem(a, cfg.seed())
 	opt := core.DistOptions{
 		Method: method, Ranks: ranks, Steps: steps, Setup: setup,
-		Parallel: cfg.Goroutines, Dense: cfg.Dense,
-		Local: cfg.Local, Model: cfg.Model, Faults: cfg.Faults,
+		Parallel: cfg.Goroutines,
+		Local:    cfg.Local, Model: cfg.Model, Faults: cfg.Faults,
 	}
 	// Trace hook: any table/figure run can dump its per-rank timeline.
 	// Cached runs skip this path, so each run key is exported exactly once

@@ -157,9 +157,9 @@ type DistOptions struct {
 	// Watchdog overrides the stagnation-watchdog patience window in
 	// parallel steps (0 = dmem's default of 10).
 	Watchdog int
-	// Dense disables the active-set step engine and runs every rank every
-	// phase (the zero value steps actively, which is bit-identical; see
-	// dmem.Config.Dense). Diagnostic — results never depend on it.
+	// Dense runs every rank every phase: the full-mask oracle (the zero
+	// value steps actively, which is bit-identical; see dmem.Config.Dense).
+	// Results never depend on it.
 	Dense bool
 	// Trace, when non-nil, receives structured runtime and algorithm
 	// events (see internal/obs). Tracing never changes results.

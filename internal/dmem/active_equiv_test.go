@@ -2,6 +2,7 @@ package dmem
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -189,4 +190,46 @@ func TestActiveWatchdogWhileAsleep(t *testing.T) {
 	if got, want := len(active.History)-1, active.DeadlockStep; got != want {
 		t.Errorf("run continued past the stop: %d steps recorded, stopped at %d", got, want)
 	}
+}
+
+// FuzzActiveDenseChaos fuzzes the fault plan under which active-set
+// stepping must stay bit-identical to the sequential full-mask oracle
+// (Config.Dense): seed, delay probability and maximum delay, duplication,
+// reordering, one pause window, and one straggler, crossed with BJ, PS and
+// DS at P ≤ 16 on a small Poisson grid, on either world engine. An input
+// with no fault at all runs on a perfect network. The seed corpus in
+// testdata/fuzz covers every fault kind alone, all together, and none, so
+// plain `go test` runs each through the one delivery path.
+func FuzzActiveDenseChaos(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, method, ranks, delay, delayMax, dup, reorder,
+		pauseRank, pauseFrom, pauseLen, straggler, slow uint8, pool bool) {
+		names := []string{"BlockJacobi", "ParallelSouthwell", "DistributedSouthwell"}
+		name := names[int(method)%len(names)]
+		run := methods()[name]
+		p := 2 + int(ranks)%15
+		plan := &rma.FaultPlan{
+			Seed:        seed,
+			DelayProb:   float64(delay) / 256,
+			DelayMax:    1 + int(delayMax)%4,
+			DupProb:     float64(dup) / 256,
+			ReorderProb: float64(reorder) / 256,
+		}
+		if pauseLen > 0 {
+			from := int(pauseFrom) % 45
+			plan.Pauses = []rma.Pause{{Rank: int(pauseRank) % p, From: from, To: from + int(pauseLen)%20 + 1}}
+		}
+		if slow > 0 {
+			plan.Stragglers = map[int]float64{int(straggler) % p: 1 + float64(slow)/32}
+		}
+		if delay|dup|reorder|pauseLen|slow == 0 {
+			plan = nil // a perfect network: the member-list fold path
+		}
+		cfg := Config{Steps: 20, Parallel: pool, Faults: plan}
+		l, b, x := buildCase(t, problem.Poisson2D(12, 12), p, 1)
+		active := run(l, b, x, cfg)
+		dcfg := Config{Steps: 20, Faults: plan, Dense: true}
+		l2, b2, x2 := buildCase(t, problem.Poisson2D(12, 12), p, 1)
+		dense := run(l2, b2, x2, dcfg)
+		compareRuns(t, fmt.Sprintf("%s P=%d pool=%v plan=%+v", name, p, pool, plan), dense, active)
+	})
 }

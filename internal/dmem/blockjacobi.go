@@ -21,12 +21,12 @@ func (pl *bjPayload) CloneMessage() any {
 // completes and every rank absorbs the incoming deltas before the next
 // step, so residuals are exact at step boundaries.
 func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Block Jacobi", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
+	// BJ's quiescence declaration (engine.go): never quiescent. Every
+	// unpaused rank relaxes unconditionally every step, so no rank may ever
+	// sleep (a paused degree-0 rank holds with no mail, yet BJ relaxes it
+	// again the moment it unpauses).
+	eng := newStepEngine(l, b, x, cfg, false, false)
+	w, states := eng.w, eng.states
 
 	// Persistent per-(rank, neighbor) payloads: pointers cross the simulated
 	// network, so the steady-state message path allocates nothing.
@@ -47,58 +47,27 @@ func BlockJacobi(l *Layout, b, x []float64, cfg Config) *Result {
 		}
 	}
 
-	wd := newWatchdog(cfg, w)
-	cumRelax := 0
-	// BJ's quiescence declaration (engine.go): never quiescent. Every
-	// unpaused rank relaxes unconditionally every step, so the active-set
-	// engine could never put one to sleep correctly (a paused rank holds
-	// with no mail, yet dense BJ relaxes it again the moment it unpauses).
-	// The dense RunPhase path IS the active set here, so Config.Dense has
-	// no effect on this method.
-	for step := 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		// Reset relax flags on the driving goroutine: a rank paused by the
-		// fault layer skips the sweep phase and must not be recounted.
-		for _, rs := range states {
-			rs.relaxed = false
-		}
-		// Relax and write (absorbing any late deliveries first).
-		w.RunPhase(func(p int) {
-			absorb(p)
-			rs := states[p]
-			traceDecision(w, step, p, rs, true)
-			rs.relaxed = true
-			rs.zeroExtDelta()
-			flops := rs.relaxLocal()
-			w.Charge(p, flops)
-			for j, q := range rs.rd.Nbrs {
-				pl := &solvePl[p][j]
-				pl.deltas = rs.deltasFor(j)
-				w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
-			}
-		})
-		// Wait for neighbors to finish writing, then read.
-		w.RunPhase(func(p int) {
-			rs := states[p]
-			absorb(p)
-			rs.norm = rs.computeNorm()
-			w.Charge(p, 2*float64(rs.rd.M()))
-		})
-		for p := range states {
-			if states[p].relaxed {
-				relaxedRanks++
-				cumRelax += states[p].rd.M()
-			}
-		}
-		record(res, w, states, globalNorm(states), step, relaxedRanks, cumRelax)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
-		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
+	// Relax and write (absorbing any late deliveries first).
+	relax := func(p int) {
+		absorb(p)
+		rs := states[p]
+		traceDecision(w, eng.step, p, rs, true)
+		rs.relaxed = true
+		rs.zeroExtDelta()
+		flops := rs.relaxLocal()
+		w.Charge(p, flops)
+		for j, q := range rs.rd.Nbrs {
+			pl := &solvePl[p][j]
+			pl.deltas = rs.deltasFor(j)
+			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)), pl)
 		}
 	}
-	finish(res, l, w, states)
-	return res
+	// Wait for neighbors to finish writing, then read.
+	read := func(p int) {
+		rs := states[p]
+		absorb(p)
+		rs.norm = rs.computeNorm()
+		w.Charge(p, 2*float64(rs.rd.M()))
+	}
+	return eng.solve("Block Jacobi", cfg, relax, read)
 }

@@ -66,11 +66,13 @@ type Config struct {
 	// deliveries, stragglers, rank pauses). Nil is a perfect network. The
 	// plan is copied per run, so one plan value can drive many runs.
 	Faults *rma.FaultPlan
-	// Dense disables the active-set step engine: every rank's phase
-	// function runs every step, as the paper's pseudocode is written. The
+	// Dense runs the step engine in never-sleep mode: every rank's phase
+	// function runs every step (the full mask), as the paper's pseudocode
+	// is written, and every phase cost comes from the per-rank α-β-γ
+	// formula. It is the oracle the equivalence tests compare against. The
 	// zero value steps only the active set (engine.go), which is
-	// bit-identical to dense stepping — results, statistics, and simulated
-	// time never differ — but skips provably quiescent ranks' host work.
+	// bit-identical — results, statistics, and simulated time never differ
+	// — but skips provably quiescent ranks' host work.
 	Dense bool
 	// Watchdog is the patience window, in parallel steps, of the
 	// stagnation/deadlock watchdog (see Result.Deadlocked): a provably
@@ -170,7 +172,8 @@ type Result struct {
 	X            []float64 // gathered global solution
 	// ActiveHist is the active-set engine's diagnostic: per step, the
 	// number of ranks scheduled to execute phase 1 (mid-step wakeups by
-	// landed traffic are not recounted). Nil when the run stepped densely.
+	// landed traffic are not recounted). Nil when no rank could sleep (BJ,
+	// PB16, Config.Dense, the UpdateSlack < 0 ablation).
 	// An engine-occupancy observation — never part of results.
 	ActiveHist []int
 }
@@ -660,20 +663,9 @@ func winsOver(np float64, p int, nq float64, q int) bool {
 	return p < q
 }
 
-// globalNorm combines exact local norms.
-func globalNorm(states []*rankState) float64 {
-	s := 0.0
-	for _, rs := range states {
-		s += rs.norm * rs.norm
-	}
-	return math.Sqrt(s)
-}
-
-// flatNorm is globalNorm over a maintained flat table of squared local
-// norms (stepEngine.tally refreshes the member slots; sleepers' norms
-// cannot change). The summands and their rank order are exactly
-// globalNorm's, so the result is bit-identical — the flat walk just
-// replaces P pointer chases with a sequential read.
+// flatNorm is the global residual norm from a flat table of squared local
+// norms (stepEngine.norms2, whose member slots tally refreshes; a
+// sleeper's norm cannot change), summed in rank order.
 func flatNorm(norms2 []float64) float64 {
 	s := 0.0
 	for _, v := range norms2 {
@@ -702,8 +694,7 @@ var debugHook func(states []*rankState)
 
 // record appends a step record with cumulative counters (and mirrors it
 // onto the trace's control track when tracing is on). norm is the global
-// residual norm — globalNorm(states), or the bit-identical flatNorm when
-// the active-set engine maintains the squared-norm table.
+// residual norm (flatNorm).
 func record(res *Result, w *rma.World, states []*rankState, norm float64, step, relaxedRanks, cumRelax int) {
 	if debugHook != nil {
 		debugHook(states)

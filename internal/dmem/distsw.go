@@ -69,12 +69,16 @@ func DistributedSouthwellOpt(l *Layout, b, x []float64, cfg Config, opts DistSWO
 }
 
 func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOptions) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Distributed Southwell", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
+	// DS's quiescence rule (engine.go): a rank that held with an empty
+	// window re-decides identically until its state changes, and its phase-2
+	// trigger self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, or lastTold
+	// under UpdateSlack, closing the trigger). A negative slack keeps the
+	// trigger Γ̃ > (1+s)·‖r‖ open even after a send resets Γ̃ = ‖r‖, so the
+	// invariant does not hold and no rank may sleep. The starvation
+	// re-announce is the one per-step poll; the engine converts it to step
+	// stamps plus a wakeup calendar.
+	eng := newStepEngine(l, b, x, cfg, opts.UpdateSlack >= 0, true)
+	w, states := eng.w, eng.states
 
 	// Persistent payloads (pointers cross the network; see blockjacobi.go).
 	// Explicit updates get their own per-neighbor structs: they are sent one
@@ -170,27 +174,6 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 		}
 	}
 
-	wd := newWatchdog(cfg, w)
-	chaotic := cfg.Faults != nil
-	refreshAfter := (cfg.watchdogWindow() + 1) / 2
-	cumRelax := 0
-	// DS's quiescence rule (engine.go): a rank that held with an empty
-	// window re-decides identically until its state changes, and its phase-2
-	// trigger self-extinguishes (a fired send sets Γ̃[j] = ‖r‖, or lastTold
-	// under UpdateSlack, closing the trigger). The starvation re-announce is
-	// the one per-step poll; the engine converts it to step stamps plus a
-	// wakeup calendar, so starvation=true here.
-	eng := newStepEngine(w, states, cfg, true)
-	if opts.UpdateSlack < 0 {
-		// A negative slack keeps the trigger Γ̃ > (1+s)·‖r‖ open even after a
-		// send resets Γ̃ = ‖r‖, so the phase-2 action is not self-extinguishing
-		// and the quiescence invariant does not hold: stay dense.
-		eng.dense = true
-	}
-	// The phase closures are hoisted out of the step loop and capture the
-	// shared step variable, so the active engine can re-dispatch them
-	// per-phase without per-step closure allocations.
-	var step int
 	// Phase 1: absorb any late deliveries; decide from estimates;
 	// relax; write updates.
 	phase1 := func(p int) {
@@ -204,7 +187,7 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 			}
 		}
 		w.Charge(p, float64(rs.rd.Degree()))
-		traceDecision(w, step, p, rs, wins)
+		traceDecision(w, eng.step, p, rs, wins)
 		if !wins {
 			return
 		}
@@ -232,7 +215,7 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 			pl.bnd = rs.boundaryResiduals(j)
 			pl.norm = rs.norm
 			pl.estRecv = rs.gamma[j]
-			pl.seq = 2 * int64(step)
+			pl.seq = 2 * int64(eng.step)
 			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+len(pl.bnd)+2), pl)
 		}
 	}
@@ -253,21 +236,21 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 		// exact residual state to every neighbor, making the estimates
 		// exact again, so Distributed Southwell stays deadlock-free on
 		// any eventually-quiescent network.
-		refresh := chaotic && rs.starved >= refreshAfter
+		refresh := eng.starve && rs.starved >= eng.refreshAfter
 		if refresh {
 			rs.starved = 0
 		}
 		// Deadlock-risk detection (Algorithm 3, lines 27-30).
 		for j, q := range rs.rd.Nbrs {
 			if refresh || rs.gammaTilde[j] > rs.norm*(1+opts.UpdateSlack) {
-				traceResSend(w, step, p, q, rs.gammaTilde[j], rs, refresh)
+				traceResSend(w, eng.step, p, q, rs.gammaTilde[j], rs, refresh)
 				rs.gammaTilde[j] = rs.norm
 				rs.sentTo[j] = true
 				pl := &resPl[p][j]
 				pl.bnd = rs.resBoundaryResiduals(j)
 				pl.norm = rs.norm
 				pl.estRecv = rs.gamma[j]
-				pl.seq = 2*int64(step) + 1
+				pl.seq = 2*int64(eng.step) + 1
 				w.Put(p, q, rma.TagResidual, msgBytes(len(pl.bnd)+2), pl)
 			}
 		}
@@ -280,72 +263,5 @@ func distributedSouthwell(l *Layout, b, x []float64, cfg Config, opts DistSWOpti
 			rs.sentTo[j] = false
 		}
 	}
-	// Squared local norms for the flat global-norm sum on the active path;
-	// tally refreshes member slots, sleepers cannot change theirs.
-	var norms2 []float64
-	if !eng.dense {
-		norms2 = make([]float64, len(states))
-		for p, rs := range states {
-			norms2[p] = rs.norm * rs.norm
-		}
-	}
-	for step = 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		var norm float64
-		if eng.dense {
-			// Reset relax flags on the driving goroutine: a rank paused by
-			// the fault layer does not execute phase 1 and must not be
-			// counted as having relaxed again.
-			for _, rs := range states {
-				rs.relaxed = false
-			}
-			w.RunPhase(phase1)
-			w.RunPhase(phase2)
-			w.RunPhase(phase3)
-			for p := range states {
-				if states[p].relaxed {
-					relaxedRanks++
-					cumRelax += states[p].rd.M()
-				}
-			}
-			if chaotic {
-				for _, rs := range states {
-					if rs.relaxed || rs.gotMsg {
-						rs.starved = 0
-					} else {
-						rs.starved++
-					}
-					rs.gotMsg = false
-				}
-			}
-			norm = globalNorm(states)
-		} else {
-			eng.resetRelaxed()
-			eng.beginStep(step)
-			eng.runPhase(step, phase1, eng.idleDeg)
-			eng.runPhase(step, phase2, nil)
-			eng.runPhase(step, phase3, nil)
-			rr, rows := eng.tally(norms2)
-			relaxedRanks = rr
-			cumRelax += rows
-			// Executed ranks take the dense starvation rule; quiescent ones
-			// sleep with a stamped counter and a calendar wakeup.
-			eng.endStep(step)
-			norm = flatNorm(norms2)
-		}
-		record(res, w, states, norm, step, relaxedRanks, cumRelax)
-		eng.traceStep(step)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
-		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
-		}
-	}
-	if !eng.dense {
-		res.ActiveHist = eng.hist
-	}
-	finish(res, l, w, states)
-	return res
+	return eng.solve("Distributed Southwell", cfg, phase1, phase2, phase3)
 }

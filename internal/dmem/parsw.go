@@ -43,12 +43,12 @@ func (pl *psResPayload) CloneMessage() any {
 // Norms in Γ are therefore exact at every decision, making the method
 // mathematically identical to shared-memory block Parallel Southwell.
 func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
-	w := newWorld(l, cfg)
-	defer w.Close()
-	states := newRankStates(l, b, x)
-	configureLocal(states, cfg)
-	res := &Result{Method: "Parallel Southwell", P: l.P, N: l.A.N}
-	record(res, w, states, globalNorm(states), 0, 0, 0)
+	// PS's quiescence rule (engine.go): a held decision replays until the
+	// state changes, and the phase-2 announce self-extinguishes (a fired
+	// announce sets lastTold = norm, closing the trigger). PS has no
+	// starvation clock — exact norms cannot deadlock.
+	eng := newStepEngine(l, b, x, cfg, true, false)
+	w, states := eng.w, eng.states
 
 	// Persistent payloads (pointers cross the network; see blockjacobi.go).
 	// The explicit update carries one norm for all neighbors, so a single
@@ -92,16 +92,6 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 		}
 	}
 
-	wd := newWatchdog(cfg, w)
-	cumRelax := 0
-	// PS's quiescence rule (engine.go): a held decision replays until the
-	// state changes, and the phase-2 announce self-extinguishes (a fired
-	// announce sets lastTold = norm, closing the trigger). PS has no
-	// starvation clock — exact norms cannot deadlock — so starvation=false.
-	eng := newStepEngine(w, states, cfg, false)
-	// Phase closures are hoisted out of the step loop, capturing the shared
-	// step variable, so the engine re-dispatches them phase by phase.
-	var step int
 	// Phase 1: absorb late deliveries; decide and relax.
 	phase1 := func(p int) {
 		absorb(p)
@@ -114,7 +104,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 			}
 		}
 		w.Charge(p, float64(rs.rd.Degree()))
-		traceDecision(w, step, p, rs, wins)
+		traceDecision(w, eng.step, p, rs, wins)
 		if !wins {
 			return
 		}
@@ -128,7 +118,7 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 			pl := &solvePl[p][j]
 			pl.deltas = rs.deltasFor(j)
 			pl.norm = rs.norm
-			pl.seq = 2 * int64(step)
+			pl.seq = 2 * int64(eng.step)
 			w.Put(p, q, rma.TagSolve, msgBytes(len(pl.deltas)+1), pl)
 		}
 	}
@@ -141,70 +131,15 @@ func ParallelSouthwell(l *Layout, b, x []float64, cfg Config) *Result {
 		// a tolerance here would let stale Γ entries persist.
 		if rs.norm != rs.lastTold { //dslint:ignore floatcmp
 
-			traceResSend(w, step, p, -1, rs.lastTold, rs, false)
+			traceResSend(w, eng.step, p, -1, rs.lastTold, rs, false)
 			rs.lastTold = rs.norm
 			resPl[p].norm = rs.norm
-			resPl[p].seq = 2*int64(step) + 1
+			resPl[p].seq = 2*int64(eng.step) + 1
 			for _, q := range rs.rd.Nbrs {
 				w.Put(p, q, rma.TagResidual, msgBytes(1), &resPl[p])
 			}
 		}
 	}
-	// Squared local norms for the flat global-norm sum on the active path
-	// (see distsw.go).
-	var norms2 []float64
-	if !eng.dense {
-		norms2 = make([]float64, len(states))
-		for p, rs := range states {
-			norms2[p] = rs.norm * rs.norm
-		}
-	}
-	for step = 1; step <= cfg.steps(); step++ {
-		relaxedRanks := 0
-		var norm float64
-		if eng.dense {
-			// Reset relax flags on the driving goroutine: a rank paused by
-			// the fault layer does not execute phase 1 and must not be
-			// recounted.
-			for _, rs := range states {
-				rs.relaxed = false
-			}
-			// Phase 3 absorbs explicit updates.
-			w.RunPhase(phase1)
-			w.RunPhase(phase2)
-			w.RunPhase(absorb)
-			for p := range states {
-				if states[p].relaxed {
-					relaxedRanks++
-					cumRelax += states[p].rd.M()
-				}
-			}
-			norm = globalNorm(states)
-		} else {
-			eng.resetRelaxed()
-			eng.beginStep(step)
-			eng.runPhase(step, phase1, eng.idleDeg)
-			eng.runPhase(step, phase2, nil)
-			eng.runPhase(step, absorb, nil)
-			rr, rows := eng.tally(norms2)
-			relaxedRanks = rr
-			cumRelax += rows
-			eng.endStep(step)
-			norm = flatNorm(norms2)
-		}
-		record(res, w, states, norm, step, relaxedRanks, cumRelax)
-		eng.traceStep(step)
-		if wd.observe(w, step, relaxedRanks) {
-			res.deadlockAt(step)
-			break
-		}
-		if cfg.Target > 0 && res.Final().ResNorm <= cfg.Target {
-			break
-		}
-	}
-	if !eng.dense {
-		res.ActiveHist = eng.hist
-	}
-	finish(res, l, w, states)
-	return res
+	// Phase 3 absorbs the explicit updates.
+	return eng.solve("Parallel Southwell", cfg, phase1, phase2, absorb)
 }

@@ -90,7 +90,9 @@ const (
 	// KindActiveSet (control shard): the active-set step engine's
 	// occupancy after one solver step. A is the number of ranks scheduled
 	// to execute the step, B the ranks skipped as quiescent, V1 the skip
-	// rate B/(A+B). Dense runs emit none.
+	// rate B/(A+B). Runs that never sleep a rank emit none: BJ, the 2016
+	// piggyback variant, dmem.Config.Dense, and DS's UpdateSlack < 0
+	// ablation.
 	KindActiveSet
 	numKinds
 )

@@ -135,6 +135,36 @@ func TestRunPhaseActiveFullMaskIsRunPhase(t *testing.T) {
 	}
 }
 
+// TestRunPhaseActiveCostsSkippedReceivers: with a member list, a skipped
+// rank that receives a landing is costed in full — its idle charge plus
+// its landings — on top of the folded Gamma·max(idle) term. Rank 1 sleeps
+// next to active rank 0 and has the largest idle charge, so its full cost
+// is the phase maximum.
+func TestRunPhaseActiveCostsSkippedReceivers(t *testing.T) {
+	const p, stride = 64, 4
+	for _, parallel := range []bool{false, true} {
+		wa, fa, active, idle := activeWorld(p, stride, parallel)
+		defer wa.Close()
+		wd, fd, _, _ := activeWorld(p, stride, parallel)
+		defer wd.Close()
+		idle[1] = 1e4
+		dense := func(rank int) {
+			if active[rank] {
+				fd(rank)
+			} else {
+				wd.Charge(rank, idle[rank])
+			}
+		}
+		for i := 0; i < 3; i++ {
+			wa.RunPhaseActive(active, maskList(active), idle, fa)
+			wd.RunPhase(dense)
+		}
+		if sa, sd := wa.Stats(), wd.Stats(); sa != sd {
+			t.Errorf("parallel=%v: stats differ:\nactive %+v\ndense  %+v", parallel, sa, sd)
+		}
+	}
+}
+
 type activeGate struct {
 	Gate map[string]float64 `json:"gate"`
 }

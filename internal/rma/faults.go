@@ -17,6 +17,8 @@ package rma
 // identical on the sequential and worker-pool engines (asserted by the
 // chaos engine-equivalence tests). No math/rand global state is touched.
 
+import "southwell/internal/obs"
+
 // FaultPlan describes deterministic fault injection for a World. The zero
 // value injects nothing. Install it with World.InstallFaults before the
 // first phase; the World copies the plan, so one plan value can seed many
@@ -198,6 +200,12 @@ func (w *World) FaultsQuiescent() bool {
 	return len(ch.held) == 0 && w.phases >= ch.lastPause
 }
 
+// Paused reports whether rank p was descheduled by a FaultPlan pause in
+// the phase just run (always false without an installed plan).
+func (w *World) Paused(p int) bool {
+	return w.chaos != nil && w.chaos.pausedNow[p]
+}
+
 // phaseSpikeMult is the transient cost multiplier applied when a
 // StragglerPhaseProb spike hits a (rank, phase).
 const phaseSpikeMult = 8.0
@@ -291,6 +299,78 @@ func (ch *chaosState) fault(m *Message, phase int64) (deliver, dup bool) {
 		return true, true
 	}
 	return true, false
+}
+
+// openChaosBatch is deliver's chaos hook after the window clear: it counts
+// (and traces) the paused ranks, whose windows deliver kept, records where
+// each window's new batch starts, and lands the delayed messages due at
+// this boundary first — they are the oldest traffic — in staging order.
+func (w *World) openChaosBatch(ch *chaosState) {
+	for p, paused := range ch.pausedNow {
+		if !paused {
+			continue
+		}
+		// The retained payloads were detached from the senders' buffers
+		// when they landed (fault), since the senders may rewrite those.
+		ch.paused++
+		if w.trace != nil {
+			w.trace.Emit(obs.Event{
+				Kind:  obs.KindFault,
+				Rank:  obs.ControlRank,
+				Flag:  obs.FlagFaultPaused,
+				A:     int32(p),
+				Ts:    w.simTime,
+				Phase: w.phases,
+			})
+		}
+	}
+	for p := range w.inbox {
+		ch.batchStart[p] = len(w.inbox[p])
+	}
+	for _, h := range ch.releaseDue(w.phases) {
+		w.land(h.m)
+	}
+}
+
+// landChaos is deliver's per-message chaos hook: the message lands, lands
+// twice, or is held back, as fault decides.
+func (w *World) landChaos(ch *chaosState, m *Message) {
+	deliver, dup := ch.fault(m, w.phases)
+	if !deliver {
+		w.emitFault(obs.FlagFaultDelayed, m.From, m.To)
+		return
+	}
+	w.land(*m)
+	if dup {
+		d := *m
+		d.Dup = true
+		w.land(d)
+		w.emitFault(obs.FlagFaultDuped, m.From, m.To)
+	}
+}
+
+// reorderChaosBatch is deliver's chaos hook after the staged sweep: each
+// window's batch of this boundary is shuffled with probability
+// ReorderProb, drawing from the plan PRNG in ascending rank order.
+func (w *World) reorderChaosBatch(ch *chaosState) {
+	if !(ch.plan.ReorderProb > 0) {
+		return
+	}
+	for p := range w.inbox {
+		batch := w.inbox[p][ch.batchStart[p]:]
+		if len(batch) < 2 {
+			continue
+		}
+		if ch.rng.float() >= ch.plan.ReorderProb {
+			continue
+		}
+		ch.reordered++
+		w.emitFault(obs.FlagFaultReordered, int32(p), int32(p))
+		for i := len(batch) - 1; i > 0; i-- {
+			j := ch.rng.intn(i + 1)
+			batch[i], batch[j] = batch[j], batch[i]
+		}
+	}
 }
 
 // releaseDue moves held messages whose due boundary has arrived into out

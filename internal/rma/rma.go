@@ -126,23 +126,15 @@ type World struct {
 	recvMsgs  []int64 // deliver() scratch: per-rank landings, zeroed in place
 	recvBytes []int64
 
-	// liveInbox lists the ranks whose inbox is currently nonempty, in the
-	// order they first received a landing. land maintains it (append on the
-	// empty→nonempty transition) and deliver consumes it, so the active-set
-	// fast path (deliverActive) clears, costs, and order-checks only the
-	// windows that were actually written instead of scanning all P.
+	// liveInbox lists the ranks whose inbox is currently nonempty. land
+	// maintains it (append on the empty→nonempty transition) and deliver
+	// consumes it, so window clears, receiver costs, and the delivery-order
+	// audit touch only the windows that were actually written.
 	liveInbox []int32
+	// allRanks is 0..P-1: the member list of a full-mask phase, so every
+	// phase walks one kind of rank list.
+	allRanks []int32
 
-	// fastActive/fastList/fastIdle hold the membership mask, the optional
-	// sorted member list, and the idle-charge vector of an active-subset
-	// phase in flight (RunPhaseActive). When set — and no fault plan or
-	// tracer is installed — deliver dispatches to deliverActive and
-	// activeRange skips the per-rank idle flop writes; the idle compute
-	// cost folds into the phase maximum analytically, and the list (when
-	// non-nil) replaces every remaining O(P) mask or staging scan.
-	fastActive []bool
-	fastList   []int32
-	fastIdle   []float64
 	// idleMax cache: max over an idle vector, keyed by slice identity —
 	// one O(P) scan per distinct vector per run instead of per phase.
 	idleMaxVec []float64
@@ -184,17 +176,20 @@ type World struct {
 	closed atomic.Bool
 }
 
-// phaseWork is one unit broadcast to the worker pool: a barrier-
-// synchronized phase function f, over all ranks or — when active is
-// non-nil — over the active subset with idle charging (see active.go).
+// phaseWork is one phase as RunPhaseActive hands it to runRange and
+// deliver (and broadcasts it to the worker pool): the phase function, the
+// membership mask (nil: every rank), the ascending member list (nil: walk
+// every rank), and the flop charge of a skipped rank (nil: none).
 type phaseWork struct {
 	f      func(int)
-	active []bool    // non-nil: run f only where set (RunPhaseActive)
-	idle   []float64 // per-rank flop charge for skipped, unpaused ranks
+	active []bool
+	list   []int32
+	idle   []float64
 }
 
 // NewWorld creates a world of p ranks with the given cost model.
 func NewWorld(p int, model CostModel) *World {
+	ranks := make([]int32, 2*p)
 	w := &World{
 		P:         p,
 		Model:     model,
@@ -205,7 +200,11 @@ func NewWorld(p int, model CostModel) *World {
 		bytes:     make([]int64, p),
 		recvMsgs:  make([]int64, p),
 		recvBytes: make([]int64, p),
-		liveInbox: make([]int32, 0, p),
+		liveInbox: ranks[p : p : 2*p],
+		allRanks:  ranks[:p:p],
+	}
+	for i := range w.allRanks {
+		w.allRanks[i] = int32(i)
 	}
 	return w
 }
@@ -337,43 +336,109 @@ func (w *World) Now() float64 { return w.simTime }
 // (also monotone across ResetStats).
 func (w *World) PhaseIndex() int64 { return w.phases }
 
-// RunPhase executes one access epoch: f runs for every rank (sequentially,
-// or sharded over the persistent worker pool when w.Parallel is set), then
-// all staged puts are delivered and the phase's simulated time is
-// accounted. Both engines produce bit-identical results: f(p) may only
-// touch rank p's state, and cross-rank data moves exclusively through Put
-// at the phase boundary.
+// RunPhase executes one access epoch over every rank: the full-mask case
+// of RunPhaseActive. Both engines produce bit-identical results: f(p) may
+// only touch rank p's state, and cross-rank data moves exclusively through
+// Put at the phase boundary.
 //
 //dslint:hotpath
 func (w *World) RunPhase(f func(rank int)) {
+	w.RunPhaseActive(nil, nil, nil, f)
+}
+
+// RunPhaseActive executes one access epoch: f runs for every rank with
+// active[p] set (every rank when active is nil), sequentially or sharded
+// over the persistent worker pool when w.Parallel is set; then all staged
+// puts are delivered and the phase's simulated time is accounted. This is
+// the runtime half of the active-set stepping engine (DESIGN.md §14).
+//
+// Contract: f(p) may only touch rank p's state, and for every inactive
+// rank f would have sent no messages, mutated no state, and charged
+// exactly idle[p] flops (0 when idle is nil). idle[p] must also
+// lower-bound the flop charge of every rank that does execute f (it is
+// the unconditional part of the phase), and the vector must not change
+// between phases (idleMax caches its maximum). Running a superset of the
+// minimal active set is always safe: the full mask is RunPhase. Paused
+// ranks (FaultPlan.Pauses) neither run nor take the idle charge.
+//
+// actList, when non-nil, lists exactly the ranks with active[p] set,
+// ascending. It makes the phase cost O(active work): dispatch, the
+// staged-put sweep, and the cost fold walk the list instead of all P, and
+// the skipped ranks' compute cost is folded analytically (see deliver)
+// instead of written per rank. Passing nil is always correct (every rank
+// is walked and the skipped ones are charged idle[p] one by one); passing
+// a stale or unsorted list is not. Under a fault plan or a tracer the list
+// is ignored: straggler multipliers and KindRankCost rows are per rank.
+//
+//dslint:hotpath
+func (w *World) RunPhaseActive(active []bool, actList []int32, idle []float64, f func(rank int)) {
 	if w.closed.Load() {
 		panic(ErrClosed)
 	}
-	if ch := w.chaos; ch != nil && ch.markPaused(w.phases) {
-		// Paused ranks are descheduled for this phase: their function does
-		// not run, and deliver leaves their windows (inboxes) intact so
-		// landed one-sided writes stay readable until they next execute.
-		inner := f
-		//dslint:ignore hotalloc chaos wrapper closure, built only under an installed fault plan
-		f = func(p int) {
-			if !ch.pausedNow[p] {
-				inner(p)
-			}
-		}
+	if w.chaos != nil || w.trace != nil {
+		actList = nil
 	}
+	if ch := w.chaos; ch != nil {
+		ch.markPaused(w.phases)
+	}
+	pw := phaseWork{f: f, active: active, list: actList, idle: idle}
 	if w.Parallel && w.P > 1 {
 		w.poolOnce.Do(w.startPool) //dslint:ignore hotalloc method value for one-time pool start; Once skips it on every later phase
 		w.barrier.Add(len(w.workers))
-		for _, ch := range w.workers {
-			ch <- phaseWork{f: f}
+		for _, c := range w.workers {
+			c <- pw
 		}
 		w.barrier.Wait()
 	} else {
-		for p := 0; p < w.P; p++ {
-			f(p)
+		w.runRange(0, w.P, pw)
+	}
+	w.deliver(pw)
+}
+
+// runRange runs the phase body over the members in ranks [lo, hi): the
+// whole world on the sequential engine, one worker's contiguous chunk on
+// the pool. Members are visited in ascending order and each rank's branch
+// is a pure function of (active, pausedNow, idle), so chunk boundaries
+// never influence the output and the engines stay bit-identical.
+//
+//dslint:hotpath
+func (w *World) runRange(lo, hi int, pw phaseWork) {
+	ranks := pw.list
+	if ranks == nil {
+		ranks = w.allRanks
+	}
+	ch := w.chaos
+	for _, p32 := range ranks[lowerBound(ranks, int32(lo)):] {
+		p := int(p32)
+		if p >= hi {
+			break
+		}
+		switch {
+		case ch != nil && ch.pausedNow[p]:
+			// Descheduled: the phase function does not run, and the rank is
+			// charged nothing.
+		case pw.active == nil || pw.active[p]:
+			pw.f(p)
+		case pw.idle != nil:
+			w.flops[p] += pw.idle[p]
 		}
 	}
-	w.deliver()
+}
+
+// lowerBound returns the first index in the ascending list whose value is
+// >= x (len(list) if none). Hand-rolled so the hot path stays closure- and
+// allocation-free.
+func lowerBound(list []int32, x int32) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if list[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // startPool creates the persistent workers: at most GOMAXPROCS goroutines,
@@ -399,13 +464,7 @@ func (w *World) startPool() {
 			for {
 				select {
 				case pw := <-ch:
-					if pw.active != nil {
-						w.activeRange(lo, hi, pw.f, pw.active, pw.idle)
-					} else {
-						for p := lo; p < hi; p++ {
-							pw.f(p)
-						}
-					}
+					w.runRange(lo, hi, pw)
 					w.barrier.Done()
 				case <-w.stop:
 					w.drainWorker(ch)
@@ -444,45 +503,45 @@ func (w *World) Close() {
 	})
 }
 
-// deliver moves staged puts into inboxes (deterministically ordered by
+// deliver closes a phase: it moves staged puts into inboxes (ordered by
 // origin rank) and accumulates the phase's simulated time. The time is the
 // BSP h-relation cost: per rank, compute plus message costs counting both
 // injections and landings (a window write occupies the target's NIC even
 // though the target CPU is not involved), maximized over ranks.
 //
+// Every loop walks only the touched ranks: the phase's members (pw.list,
+// or every rank for a full-mask, chaos, or traced phase) and the windows
+// that were written (liveInbox). With a member list, a skipped rank's
+// phase cost is exactly Gamma·idle[p] (its message terms are zero), so a
+// single Gamma·max(idle) term reproduces the per-rank maximum bit for bit
+// — max(c·a, c·b) = c·max(a,b) for the non-negative finite costs the model
+// produces — and the max may be taken over all ranks because idle[p]
+// lower-bounds every executing rank's own charge (RunPhaseActive
+// contract), and IEEE multiply-by-nonnegative and add-nonnegative are
+// monotone. A skipped rank that received a landing is costed in full.
+//
+// A fault plan and a tracer hook in per rank and per message: chaos holds
+// back, duplicates, and reorders landings, retains the windows of paused
+// ranks, and applies straggler multipliers — all decided here, on the
+// calling goroutine, so both engines see the same schedule — and the
+// tracer gets each rank's cost split and the phase span.
+//
 // deliver is allocation-free at steady state: inboxes and staged slices
 // keep their capacity, and the landing counters are preallocated scratch.
-// With a fault plan installed it additionally holds back, duplicates, and
-// reorders landings, retains the windows of paused ranks, and applies
-// straggler multipliers to the cost model — all decided here, on the
-// calling goroutine, so both engines see the same schedule.
-func (w *World) deliver() {
+//
+//dslint:hotpath
+func (w *World) deliver(pw phaseWork) {
 	ch := w.chaos
-	if ch == nil && w.trace == nil && w.fastActive != nil {
-		w.deliverActive()
-		return
+	ranks := pw.list
+	if ranks == nil {
+		ranks = w.allRanks
 	}
-	w.liveInbox = w.liveInbox[:0] // rebuilt below (retained windows) and by land
-	for p := range w.inbox {
+	// Clear last phase's windows. One-sided writes to a paused rank's
+	// window persist until the rank next runs an epoch and can read them.
+	kept := w.liveInbox[:0]
+	for _, p := range w.liveInbox {
 		if ch != nil && ch.pausedNow[p] {
-			// One-sided writes to a paused rank's window persist until the
-			// rank next runs an epoch and can actually read them. Their
-			// payloads were detached from the senders' buffers when they
-			// landed (fault), since the senders may rewrite those first.
-			ch.paused++
-			if len(w.inbox[p]) > 0 {
-				w.liveInbox = append(w.liveInbox, int32(p)) //dslint:ignore hotalloc preallocated to cap P in NewWorld; entries are distinct ranks, so len never exceeds P
-			}
-			if w.trace != nil {
-				w.trace.Emit(obs.Event{
-					Kind:  obs.KindFault,
-					Rank:  obs.ControlRank,
-					Flag:  obs.FlagFaultPaused,
-					A:     int32(p),
-					Ts:    w.simTime,
-					Phase: w.phases,
-				})
-			}
+			kept = append(kept, p) //dslint:ignore hotalloc compacts liveInbox in place, never grows
 			continue
 		}
 		in := w.inbox[p]
@@ -491,17 +550,13 @@ func (w *World) deliver() {
 		}
 		w.inbox[p] = in[:0]
 	}
+	w.liveInbox = kept
 	if ch != nil {
-		for p := range w.inbox {
-			ch.batchStart[p] = len(w.inbox[p])
-		}
-		// Delayed messages whose boundary has come land first (they are
-		// the oldest traffic), in staging order.
-		for _, h := range ch.releaseDue(w.phases) {
-			w.land(h.m)
-		}
+		w.openChaosBatch(ch)
 	}
-	for from := 0; from < w.P; from++ {
+	// Only members can have staged puts (an inactive rank's phase sends
+	// nothing), and ranks is ascending, so delivery is in sender order.
+	for _, from := range ranks {
 		st := w.staged[from]
 		for i := range st {
 			m := &st[i]
@@ -509,62 +564,98 @@ func (w *World) deliver() {
 			w.totalBytes[m.Tag] += int64(m.Bytes)
 			if ch == nil {
 				w.land(*m)
-			} else if deliver, dup := ch.fault(m, w.phases); deliver {
-				w.land(*m)
-				if dup {
-					d := *m
-					d.Dup = true
-					w.land(d)
-					w.emitFault(obs.FlagFaultDuped, m.From, m.To)
-				}
 			} else {
-				w.emitFault(obs.FlagFaultDelayed, m.From, m.To)
+				w.landChaos(ch, m)
 			}
 			m.Payload = nil
 		}
 		w.staged[from] = st[:0]
 	}
-	if ch != nil && ch.plan.ReorderProb > 0 {
-		for p := range w.inbox {
-			batch := w.inbox[p][ch.batchStart[p]:]
-			if len(batch) < 2 {
-				continue
-			}
-			if ch.rng.float() >= ch.plan.ReorderProb {
-				continue
-			}
-			ch.reordered++
-			w.emitFault(obs.FlagFaultReordered, int32(p), int32(p))
-			for i := len(batch) - 1; i > 0; i-- {
-				j := ch.rng.intn(i + 1)
-				batch[i], batch[j] = batch[j], batch[i]
-			}
-		}
+	if ch != nil {
+		w.reorderChaosBatch(ch)
 	}
 
 	maxCost := 0.0
-	for p := 0; p < w.P; p++ {
-		h := float64(w.msgs[p] + w.recvMsgs[p])
-		hb := float64(w.bytes[p] + w.recvBytes[p])
-		cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
+	if pw.list != nil && pw.idle != nil {
+		maxCost = w.Model.Gamma * w.idleMax(pw.idle)
+	}
+	for _, p := range ranks {
+		c := w.rankCost(int(p), w.flops[p])
 		if ch != nil {
-			cost *= ch.slowAt(p, w.phases)
+			c *= ch.slowAt(int(p), w.phases)
 		}
-		if cost > maxCost {
-			maxCost = cost
+		if c > maxCost {
+			maxCost = c
+		}
+		if w.trace == nil {
+			w.clearCounters(int(p))
+		}
+	}
+	if pw.list != nil {
+		for _, p := range w.liveInbox {
+			fl := w.flops[p] // 0 for a skipped receiver: no idle writes with a list
+			if !pw.active[p] && pw.idle != nil {
+				fl = pw.idle[p]
+			}
+			if c := w.rankCost(int(p), fl); c > maxCost {
+				maxCost = c
+			}
+			w.clearCounters(int(p))
 		}
 	}
 	w.simTime += maxCost
 	w.phases++
+	if w.trace != nil {
+		w.traceCosts(maxCost)
+	}
+	if ch != nil {
+		// Chaos delivery is intentionally not origin-ordered (delays and
+		// reordering are the point); skip the order audit below.
+		return
+	}
+	// Origin order is deterministic because delivery iterates senders in
+	// ascending rank order; verify cheaply over the written windows only.
+	for _, p := range w.liveInbox {
+		in := w.inbox[p]
+		for i := 1; i < len(in); i++ {
+			if in[i].From < in[i-1].From {
+				//dslint:ignore hotalloc defensive re-sort, unreachable while delivery iterates senders in ascending rank order
+				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
+				break
+			}
+		}
+	}
+}
+
+// rankCost is rank p's α-β-γ cost for the phase being delivered, with fl
+// flops of compute (before any straggler multiplier).
+func (w *World) rankCost(p int, fl float64) float64 {
+	h := float64(w.msgs[p] + w.recvMsgs[p])
+	hb := float64(w.bytes[p] + w.recvBytes[p])
+	return w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb
+}
+
+// clearCounters zeroes rank p's per-phase compute and message counters.
+func (w *World) clearCounters(p int) {
+	w.flops[p] = 0
+	w.msgs[p] = 0
+	w.bytes[p] = 0
+	w.recvMsgs[p] = 0
+	w.recvBytes[p] = 0
+}
+
+// traceCosts is deliver's tracer hook, run once the phase's time is
+// accounted: one KindRankCost row per rank that computed or communicated
+// (with the γ/α/β terms split, so the rank whose total tracks the phase
+// maximum is the SimTime winner), then the phase span. A traced phase
+// walks every rank, so it also clears every rank's counters.
+func (w *World) traceCosts(maxCost float64) {
 	var landings int64
 	for p := 0; p < w.P; p++ {
 		landings += w.recvMsgs[p]
-		if w.trace != nil && (w.flops[p] != 0 || w.msgs[p] != 0 || w.recvMsgs[p] != 0) {
-			// Re-derive the cost split so the slice carries the γ/α/β
-			// terms separately: the rank whose total tracks the phase
-			// maximum is the SimTime winner.
+		if w.flops[p] != 0 || w.msgs[p] != 0 || w.recvMsgs[p] != 0 {
 			mult := 1.0
-			if ch != nil {
+			if ch := w.chaos; ch != nil {
 				mult = ch.slowAt(p, w.phases-1)
 			}
 			fc := w.Model.Gamma * w.flops[p] * mult
@@ -585,56 +676,16 @@ func (w *World) deliver() {
 				Phase: w.phases - 1,
 			})
 		}
-		w.flops[p] = 0
-		w.msgs[p] = 0
-		w.bytes[p] = 0
-		w.recvMsgs[p] = 0
-		w.recvBytes[p] = 0
+		w.clearCounters(p)
 	}
-	if w.trace != nil {
-		w.trace.Emit(obs.Event{
-			Kind:  obs.KindPhase,
-			Rank:  obs.ControlRank,
-			Ts:    w.simTime,
-			Dur:   maxCost,
-			I1:    landings,
-			Phase: w.phases - 1,
-		})
-	}
-	if ch != nil {
-		// Chaos delivery is intentionally not origin-ordered (delays and
-		// reordering are the point); skip the order normalization below.
-		return
-	}
-	// Origin order is already deterministic because delivery iterates
-	// senders in ascending rank order; verify the invariant cheaply and
-	// only pay for a sort if a future change breaks it.
-	for p := range w.inbox {
-		in := w.inbox[p]
-		for i := 1; i < len(in); i++ {
-			if in[i].From < in[i-1].From {
-				//dslint:ignore hotalloc defensive re-sort, unreachable while delivery iterates senders in ascending rank order
-				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
-				break
-			}
-		}
-	}
-}
-
-// sweepStaged lands rank from's staged puts (tag totals included) and
-// resets the ring. Shared by deliverActive's mask and member-list sweeps.
-//
-//dslint:hotpath
-func (w *World) sweepStaged(from int) {
-	st := w.staged[from]
-	for i := range st {
-		m := &st[i]
-		w.totalMsgs[m.Tag]++
-		w.totalBytes[m.Tag] += int64(m.Bytes)
-		w.land(*m)
-		m.Payload = nil
-	}
-	w.staged[from] = st[:0]
+	w.trace.Emit(obs.Event{
+		Kind:  obs.KindPhase,
+		Rank:  obs.ControlRank,
+		Ts:    w.simTime,
+		Dur:   maxCost,
+		I1:    landings,
+		Phase: w.phases - 1,
+	})
 }
 
 // idleMax returns max(idle), cached by slice identity: the engine reuses
@@ -656,125 +707,6 @@ func (w *World) idleMax(idle []float64) float64 {
 	}
 	w.idleMaxVec, w.idleMaxVal = idle, m
 	return m
-}
-
-// deliverActive is deliver for an active-subset phase with no fault plan
-// and no tracer installed: every per-rank loop runs over the ranks that
-// were actually touched (the active set, plus windows that received a
-// landing) rather than all P, so a phase boundary costs O(active work).
-// Skipped ranks carry no idle flop writes on this path — their compute
-// cost Gamma·idle[p] is a monotone function of idle[p] with zero message
-// terms, so folding a single Gamma·max(idle) term reproduces the dense
-// phase maximum bit-for-bit: x+0 = x and max(c·a, c·b) = c·max(a,b) for
-// the non-negative finite costs the model produces, and the max may be
-// taken over ALL ranks (cached per idle vector, see idleMax) because
-// idle[p] lower-bounds every executing rank's flop charge (RunPhaseActive
-// contract) and IEEE multiply-by-nonnegative and add-nonnegative are
-// monotone, so an executing or landing rank's full-formula cost already
-// dominates its own Gamma·idle[p] term.
-//
-//dslint:hotpath
-func (w *World) deliverActive() {
-	// Clear only the windows that were written last phase. land() keeps
-	// liveInbox exact: an entry per nonempty inbox, appended on the
-	// empty→nonempty transition.
-	for _, p := range w.liveInbox {
-		in := w.inbox[p]
-		for i := range in {
-			in[i].Payload = nil // do not retain payloads past their phase
-		}
-		w.inbox[p] = in[:0]
-	}
-	w.liveInbox = w.liveInbox[:0]
-	active, list, idle := w.fastActive, w.fastList, w.fastIdle
-	if list != nil {
-		// Only executing ranks can have staged puts (the RunPhaseActive
-		// contract: an inactive rank's phase sends nothing), and the list is
-		// ascending, so walking it preserves sender-order delivery.
-		for _, from := range list {
-			w.sweepStaged(int(from))
-		}
-	} else {
-		for from := 0; from < w.P; from++ {
-			if len(w.staged[from]) == 0 {
-				continue
-			}
-			w.sweepStaged(from)
-		}
-	}
-
-	// Phase cost: the executing ranks and the landing receivers carry the
-	// full α-β-γ formula; every other skipped rank's cost is exactly
-	// Gamma·idle[p], folded analytically below.
-	maxCost := 0.0
-	if idle != nil {
-		maxCost = w.Model.Gamma * w.idleMax(idle)
-	}
-	if list != nil {
-		for _, p32 := range list {
-			p := int(p32)
-			h := float64(w.msgs[p] + w.recvMsgs[p])
-			hb := float64(w.bytes[p] + w.recvBytes[p])
-			cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
-			if cost > maxCost {
-				maxCost = cost
-			}
-			w.flops[p] = 0
-			w.msgs[p] = 0
-			w.bytes[p] = 0
-			w.recvMsgs[p] = 0
-			w.recvBytes[p] = 0
-		}
-	} else {
-		for p := 0; p < w.P; p++ {
-			if !active[p] {
-				continue
-			}
-			h := float64(w.msgs[p] + w.recvMsgs[p])
-			hb := float64(w.bytes[p] + w.recvBytes[p])
-			cost := w.Model.Gamma*w.flops[p] + w.Model.Alpha*h + w.Model.Beta*hb
-			if cost > maxCost {
-				maxCost = cost
-			}
-			w.flops[p] = 0
-			w.msgs[p] = 0
-			w.bytes[p] = 0
-			w.recvMsgs[p] = 0
-			w.recvBytes[p] = 0
-		}
-	}
-	for _, p32 := range w.liveInbox {
-		p := int(p32)
-		fl := w.flops[p] // 0 for a skipped receiver: no idle writes on this path
-		if !active[p] && idle != nil {
-			fl = idle[p] // dense charges flops[p] = 0 + idle[p]
-		}
-		h := float64(w.msgs[p] + w.recvMsgs[p])
-		hb := float64(w.bytes[p] + w.recvBytes[p])
-		cost := w.Model.Gamma*fl + w.Model.Alpha*h + w.Model.Beta*hb
-		if cost > maxCost {
-			maxCost = cost
-		}
-		w.flops[p] = 0
-		w.msgs[p] = 0
-		w.bytes[p] = 0
-		w.recvMsgs[p] = 0
-		w.recvBytes[p] = 0
-	}
-	w.simTime += maxCost
-	w.phases++
-	// Origin order is deterministic because delivery iterates senders in
-	// ascending rank order; verify cheaply over the written windows only.
-	for _, p := range w.liveInbox {
-		in := w.inbox[p]
-		for i := 1; i < len(in); i++ {
-			if in[i].From < in[i-1].From {
-				//dslint:ignore hotalloc defensive re-sort, unreachable while delivery iterates senders in ascending rank order
-				sort.SliceStable(in, func(a, b int) bool { return in[a].From < in[b].From })
-				break
-			}
-		}
-	}
 }
 
 // emitFault records a fault-layer action on the control track. Fault

@@ -136,6 +136,7 @@ func TestQuickEnginesEquivalent(t *testing.T) {
 	f := func(seed int64) bool {
 		run := func(parallel bool) ([][]int, Stats) {
 			w := NewWorld(8, DefaultCostModel())
+			defer w.Close()
 			w.Parallel = parallel
 			got := make([][]int, 8)
 			for phase := 0; phase < 5; phase++ {
